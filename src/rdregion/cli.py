@@ -4,7 +4,7 @@ Every subcommand is a thin veneer: values written to files equal the
 corresponding library-call results exactly.
 
 ``region``     subset rate floors (inner or outer) as a region JSON object
-``sumrate``    achievable/converse sum-rate tables, boundary probes, curves
+``sumrate``    achievable/converse sum-rate tables and boundary probes
 ``match``      matching thresholds and a level-monotonicity scan report
 ``waterfill``  the constrained determinant level behind the outer bounds
 ``transform``  the remote problem and budget offsets dual to a multiterminal one
@@ -20,7 +20,7 @@ uses ',' separators, '.' decimals, LF line endings and a header row.
 Exit codes: 0 success; 2 unusable input (problem file or flags); 3 the
 input parsed but the requested computation is infeasible or degenerate.
 Rerunning a command with the same flags, input and seed produces
-byte-identical output.
+byte-identical output on the same machine and numpy/LAPACK build.
 """
 
 from __future__ import annotations
@@ -267,31 +267,9 @@ def cmd_region(args) -> int:
     return 0
 
 
-def _cyclic_output(args, mp: MultiterminalProblem) -> int:
-    ci = cyclic.cyclic_instance(mp.sigma_y, args.epsilon)
-    th = cyclic.thresholds(ci)
-    r_min = th.s_eps if args.r_min is None else args.r_min
-    r_max = th.s_eps + 2.0 if args.r_max is None else args.r_max
-    curve = cyclic.parametric_curve(ci, r_min, r_max, samples=args.samples)
-    header = ["r", "R_nats", "R_bits", "D", "certified"]
-    rows = [
-        [float(rr), float(rate), float(rate) / _LN2, float(dd), bool(cc)]
-        for rr, rate, dd, cc in zip(curve.r, curve.rate, curve.distortion, curve.certified)
-    ]
-    extra = {"l": ci.l, "epsilon": ci.epsilon, "s_eps": th.s_eps, "d_th": th.d_th}
-    note = (
-        f"cyclic curve, L={ci.l}, {len(rows)} samples on r in [{r_min:.9f}, {r_max:.9f}]"
-        f" -> {args.output}"
-    )
-    _emit_table(args, header, rows, note, extra)
-    return 0
-
-
 def cmd_sumrate(args) -> int:
-    """Tabulate sum-rate bounds, boundary probes or a cyclic curve."""
+    """Tabulate sum-rate bounds or boundary probes."""
     mp = _load_mt(args)
-    if args.cyclic:
-        return _cyclic_output(args, mp)
     if args.boundary:
         if args.budget is None:
             raise _UsageError("--boundary needs --budget, the total rate in nats")
@@ -318,7 +296,7 @@ def cmd_sumrate(args) -> int:
         lo, hi, n = _parse_sweep(args.sweep)
         caps.extend(np.full(mp.l, float(v)) for v in np.linspace(lo, hi, n))
     if not caps:
-        raise _UsageError("sumrate needs --d, --sweep, --boundary or --cyclic")
+        raise _UsageError("sumrate needs --d, --sweep or --boundary")
     lower_kw = {} if args.tol is None else {"xtol": args.tol}
     rows = []
     for idx, dv in enumerate(caps):
@@ -425,7 +403,24 @@ def cmd_transform(args) -> int:
 
 def cmd_cyclic(args) -> int:
     """Write the certified parametric curve of a shift-invariant ensemble."""
-    return _cyclic_output(args, _load_mt(args))
+    mp = _load_mt(args)
+    ci = cyclic.cyclic_instance(mp.sigma_y, args.epsilon)
+    th = cyclic.thresholds(ci)
+    r_min = th.s_eps if args.r_min is None else args.r_min
+    r_max = th.s_eps + 2.0 if args.r_max is None else args.r_max
+    curve = cyclic.parametric_curve(ci, r_min, r_max, samples=args.samples)
+    header = ["r", "R_nats", "R_bits", "D", "certified"]
+    rows = [
+        [float(rr), float(rate), float(rate) / _LN2, float(dd), bool(cc)]
+        for rr, rate, dd, cc in zip(curve.r, curve.rate, curve.distortion, curve.certified)
+    ]
+    extra = {"l": ci.l, "epsilon": ci.epsilon, "s_eps": th.s_eps, "d_th": th.d_th}
+    note = (
+        f"cyclic curve, L={ci.l}, {len(rows)} samples on r in [{r_min:.9f}, {r_max:.9f}]"
+        f" -> {args.output}"
+    )
+    _emit_table(args, header, rows, note, extra)
+    return 0
 
 
 def cmd_twoterm(args) -> int:
@@ -497,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="compute multiterminal floors through the dual remote problem")
     sp.set_defaults(func=cmd_region)
 
-    sp = sub.add_parser("sumrate", parents=[common], help="sum-rate bound tables and curves")
+    sp = sub.add_parser("sumrate", parents=[common], help="sum-rate bound tables and boundary probes")
     sp.add_argument("--d", action="append", metavar="V[,V...]",
                     help="per-coordinate distortion caps; repeat for several rows")
     sp.add_argument("--sweep", metavar="LO:HI:N", help="N uniform distortion levels broadcast per coordinate")
@@ -507,12 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="distortion weights >= 1 for --boundary; repeat for several probes")
     sp.add_argument("--d-iters", type=int, default=40,
                     help="bisection iterations per boundary probe (default 40)")
-    sp.add_argument("--cyclic", action="store_true",
-                    help="emit the parametric curve of a shift-invariant ensemble")
-    sp.add_argument("--epsilon", type=float, help="split level for --cyclic (default just below min eigenvalue)")
-    sp.add_argument("--r-min", type=float, help="curve start for --cyclic (default: certified start)")
-    sp.add_argument("--r-max", type=float, help="curve end for --cyclic (default: certified start + 2)")
-    sp.add_argument("--samples", type=int, default=50, help="curve samples for --cyclic (default 50)")
     sp.add_argument("--starts", type=int, default=16, help="search restarts (default 16)")
     sp.set_defaults(func=cmd_sumrate)
 

@@ -31,6 +31,7 @@ from .problems import (
     RemoteProblem,
     SumCrit,
     VectorCrit,
+    check_criterion,
 )
 from .regions import RegionSpec, region_inner, region_outer
 from .waterfill import waterfill_det
@@ -116,19 +117,14 @@ def dual_criterion(
     mp: MultiterminalProblem, criterion: DistortionCriterion
 ) -> DistortionCriterion:
     """Map an observation-side distortion criterion to the remote view."""
+    check_criterion(criterion, mp.l)
     data = transform_data(mp)
     if isinstance(criterion, SumCrit):
         return SumCrit(criterion.d + data.offset_trace)
     if isinstance(criterion, VectorCrit):
-        if criterion.d_vec.shape[0] != mp.l:
-            raise InvalidInput(f"expected {mp.l} distortion caps")
         return VectorCrit(criterion.d_vec + data.offset_diag)
-    if isinstance(criterion, MatrixCrit):
-        if criterion.target.shape != (mp.l, mp.l):
-            raise InvalidInput("matrix distortion target has the wrong shape")
-        mapped = data.estimator @ (criterion.target + data.offset) @ data.estimator.T
-        return MatrixCrit(linalg.as_symmetric(mapped))
-    raise InvalidInput(f"unknown criterion type {type(criterion).__name__}")
+    mapped = data.estimator @ (criterion.target + data.offset) @ data.estimator.T
+    return MatrixCrit(linalg.as_symmetric(mapped))
 
 
 def transform_covariance(mp: MultiterminalProblem, sigma_d) -> np.ndarray:

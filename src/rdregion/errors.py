@@ -65,9 +65,5 @@ class SingularSplit(RdError):
     """Noise split is incompatible with the observation covariance."""
 
 
-class OutsideValidRange(RdError):
-    """Parameter lies outside the certified range."""
-
-
 class InvalidInput(RdError):
     """Malformed problem file or request."""

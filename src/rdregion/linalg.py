@@ -1,10 +1,13 @@
 """Dense symmetric-matrix utilities.
 
-Everything operates on plain numpy arrays. Eigendecompositions use cyclic
-Jacobi sweeps: the matrices in this package stay small, and deterministic,
-platform-independent output matters more than speed. Determinants and
-log-determinants of symmetric matrices are derived from the eigenvalues so
-they stay consistent with the Loewner-order tests built on the same spectra.
+Everything operates on plain numpy arrays. Eigendecompositions use LAPACK's
+symmetric solver through ``np.linalg.eigh``. Determinants, log-determinants
+and inverses of symmetric matrices are derived from the eigenvalues so they
+stay consistent with the Loewner-order tests built on the same spectra.
+
+Determinism: the same input gives bit-identical output on reruns with the
+same numpy and LAPACK build on the same machine. Results from another build
+or machine agree to rounding error, not necessarily to the last bit.
 
 Parameters
 ----------
@@ -15,7 +18,6 @@ tolerance and returns an exactly symmetric copy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +35,6 @@ __all__ = [
     "loewner_leq",
     "householder_to_axis",
 ]
-
-# Jacobi stops once the off-diagonal Frobenius mass is this small relative
-# to the norm of the input.
-_JACOBI_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -79,52 +76,13 @@ def as_symmetric(m, rel_tol: float = 1e-8) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Cyclic sweeps over (p, q); each rotation zeroes one off-diagonal pair.
-    n = a.shape[0]
-    v = np.eye(n)
-    norm = float(np.linalg.norm(a))
-    if n == 1 or norm == 0.0:
-        return np.diag(a).copy(), v
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= _JACOBI_TOL * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise InvalidMatrix("Jacobi iteration failed to converge")
-    return np.diag(a).copy(), v
-
-
 def eig_sym(m) -> Spectrum:
-    """Eigendecomposition of a symmetric matrix via cyclic Jacobi rotations."""
+    """Eigendecomposition of a symmetric matrix via LAPACK ``eigh``."""
     a = as_symmetric(m)
-    w, v = _jacobi(a)
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidMatrix(f"eigendecomposition failed to converge: {exc}") from None
     # Deterministic sign: first non-negligible component of each column > 0.
     for j in range(v.shape[1]):
         col = v[:, j]

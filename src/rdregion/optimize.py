@@ -6,7 +6,7 @@ import math
 
 from .errors import InvalidInput
 
-__all__ = ["golden_section", "bisect_root", "bisect_threshold"]
+__all__ = ["golden_section", "bisect_threshold"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -38,28 +38,6 @@ def golden_section(f, lo: float, hi: float, tol: float = 1e-7, max_iter: int = 2
             fd = f(d)
     x = c if fc <= fd else d
     return (x, fc) if fc <= fd else (x, fd)
-
-
-def bisect_root(f, lo: float, hi: float, iters: int = 200):
-    """Root of a continuous function by bisection; f(lo) and f(hi) must
-    bracket a sign change (either order)."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise InvalidInput("bisect_root needs a sign change on the bracket")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
 
 
 def bisect_threshold(pred, lo: float, hi: float, iters: int = 40):

@@ -36,6 +36,7 @@ __all__ = [
     "VectorCrit",
     "SumCrit",
     "DistortionCriterion",
+    "check_criterion",
     "FeasibilityReport",
     "as_rates",
     "conditional_covariance",
@@ -205,6 +206,25 @@ class SumCrit:
 DistortionCriterion = Union[MatrixCrit, VectorCrit, SumCrit]
 
 
+def check_criterion(criterion: DistortionCriterion, dim: int) -> None:
+    """Check that a criterion fits a ``dim``-dimensional reconstruction.
+
+    Raises InvalidInput for per-coordinate caps of the wrong length, a
+    matrix target of the wrong shape, or an unknown criterion type.
+    """
+    if isinstance(criterion, SumCrit):
+        return
+    if isinstance(criterion, VectorCrit):
+        if criterion.d_vec.shape[0] != dim:
+            raise InvalidInput(f"expected {dim} distortion caps, got {criterion.d_vec.shape[0]}")
+        return
+    if isinstance(criterion, MatrixCrit):
+        if criterion.target.shape != (dim, dim):
+            raise InvalidInput("matrix distortion target has the wrong shape")
+        return
+    raise InvalidInput(f"unknown criterion type {type(criterion).__name__}")
+
+
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool
@@ -279,20 +299,14 @@ def criterion_margin(p: RemoteProblem, criterion: DistortionCriterion, cov) -> f
     worst per-coordinate gap for a vector criterion, or the trace gap for
     a sum criterion; the criterion holds iff the margin is positive.
     """
+    check_criterion(criterion, p.k)
     cov = np.asarray(cov, dtype=float)
     if isinstance(criterion, MatrixCrit):
-        if criterion.target.shape != cov.shape:
-            raise InvalidInput("matrix distortion target has the wrong shape")
         return float(linalg.min_eig(criterion.target - cov))
+    weighted = p.gamma @ cov @ p.gamma.T
     if isinstance(criterion, VectorCrit):
-        weighted = p.gamma @ cov @ p.gamma.T
-        if criterion.d_vec.shape[0] != weighted.shape[0]:
-            raise InvalidInput("vector distortion cap has the wrong length")
         return float(np.min(criterion.d_vec - np.diag(weighted)))
-    if isinstance(criterion, SumCrit):
-        weighted = p.gamma @ cov @ p.gamma.T
-        return float(criterion.d - np.trace(weighted))
-    raise InvalidInput(f"unknown criterion type {type(criterion).__name__}")
+    return float(criterion.d - np.trace(weighted))
 
 
 def feasibility(p: RemoteProblem, criterion: DistortionCriterion) -> FeasibilityReport:

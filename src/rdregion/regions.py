@@ -210,10 +210,6 @@ def region_outer(p: RemoteProblem, r, theta: float) -> RegionSpec:
     return RegionSpec(l=p.l, kind="outer", bounds=bounds)
 
 
-def _mt_obs_precision(mp: MultiterminalProblem, rates, keep=None) -> np.ndarray:
-    return mt_posterior_precision(mp, rates, keep=keep)
-
-
 def mt_offset(mp: MultiterminalProblem) -> np.ndarray:
     """The covariance offset ``B = Sigma_N + Sigma_N Sigma_X^-1 Sigma_N``.
 
@@ -233,8 +229,8 @@ def mt_rate_bound_inner(mp: MultiterminalProblem, r, subset: int) -> float:
     """
     rates = as_rates(r, mp.l)
     members = _subset_members(subset, mp.l)
-    full = _mt_obs_precision(mp, rates)
-    comp = _mt_obs_precision(mp, rates, keep=~members)
+    full = mt_posterior_precision(mp, rates)
+    comp = mt_posterior_precision(mp, rates, keep=~members)
     return 0.5 * (linalg.logdet_sym(full) - linalg.logdet_sym(comp))
 
 
@@ -252,7 +248,7 @@ def mt_rate_bound_outer(mp: MultiterminalProblem, r, subset: int, theta_tilde: f
     rates = as_rates(r, mp.l)
     theta_tilde = _check_theta(theta_tilde)
     members = _subset_members(subset, mp.l)
-    comp = _mt_obs_precision(mp, rates, keep=~members)
+    comp = mt_posterior_precision(mp, rates, keep=~members)
     val = 0.5 * (
         linalg.logdet_sym(mp.sigma_y + mt_offset(mp))
         + 2.0 * float(rates.sum())

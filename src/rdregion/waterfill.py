@@ -26,6 +26,7 @@ from .problems import (
     SumCrit,
     VectorCrit,
     as_rates,
+    check_criterion,
     criterion_margin,
     posterior_precision,
 )
@@ -307,27 +308,25 @@ def waterfill_det(p: RemoteProblem, criterion: DistortionCriterion, r) -> float:
     InfeasibleDistortion when no covariance qualifies at these rates.
     """
     rates = as_rates(r, p.l)
+    check_criterion(criterion, p.k)
     log_gamma2 = 2.0 * np.linalg.slogdet(p.gamma)[1]
     if isinstance(criterion, SumCrit):
         floors = linalg.eig_sym(_weighted_floor(p, rates)).eigenvalues
         wl = water_level(floors, criterion.d)
         return float(math.exp(float(np.log(wl.levels).sum()) - log_gamma2))
     if isinstance(criterion, VectorCrit):
-        f_mat = _weighted_floor(p, rates)
-        if criterion.d_vec.shape[0] != p.k:
-            raise InvalidInput(f"expected {p.k} distortion caps")
-        z = max_det_capped(f_mat, criterion.d_vec)
+        z = max_det_capped(_weighted_floor(p, rates), criterion.d_vec)
         return float(math.exp(linalg.logdet_sym(z) - log_gamma2))
-    if isinstance(criterion, MatrixCrit):
-        if criterion.target.shape != (p.k, p.k):
-            raise InvalidInput("matrix distortion target has the wrong shape")
-        cov = linalg.inv_sym(posterior_precision(p, rates))
-        if not linalg.loewner_leq(cov, criterion.target):
-            raise InfeasibleDistortion(
-                "matrix distortion target does not dominate the floor at these rates"
-            )
-        return linalg.det_sym(criterion.target)
-    raise InvalidInput(f"unknown criterion type {type(criterion).__name__}")
+    return _matrix_cap_det(p, criterion, rates)
+
+
+def _matrix_cap_det(p: RemoteProblem, criterion: MatrixCrit, rates) -> float:
+    cov = linalg.inv_sym(posterior_precision(p, rates))
+    if not linalg.loewner_leq(cov, criterion.target):
+        raise InfeasibleDistortion(
+            "matrix distortion target does not dominate the floor at these rates"
+        )
+    return linalg.det_sym(criterion.target)
 
 
 def det_oracle(p: RemoteProblem, criterion: DistortionCriterion, r,
@@ -351,6 +350,7 @@ def det_oracle(p: RemoteProblem, criterion: DistortionCriterion, r,
     if steps < 2:
         raise InvalidInput("det_oracle needs at least two grid points")
     rates = as_rates(r, p.l)
+    check_criterion(criterion, p.k)
     log_gamma2 = 2.0 * np.linalg.slogdet(p.gamma)[1]
     if isinstance(criterion, SumCrit):
         floors = linalg.eig_sym(_weighted_floor(p, rates)).eigenvalues
@@ -372,22 +372,11 @@ def det_oracle(p: RemoteProblem, criterion: DistortionCriterion, r,
             value=float(vals[last]), err=float(max(0.0, vals[last + 1] - vals[last]))
         )
     if isinstance(criterion, VectorCrit):
-        if criterion.d_vec.shape[0] != p.k:
-            raise InvalidInput(f"expected {p.k} distortion caps")
         f_mat = _weighted_floor(p, rates)
         best_log, gap = _ascend_det_capped(f_mat, criterion.d_vec, starts, seed)
         value = float(math.exp(best_log - log_gamma2))
         return OracleBracket(value=value, err=float(value * np.expm1(gap)))
-    if isinstance(criterion, MatrixCrit):
-        if criterion.target.shape != (p.k, p.k):
-            raise InvalidInput("matrix distortion target has the wrong shape")
-        cov = linalg.inv_sym(posterior_precision(p, rates))
-        if not linalg.loewner_leq(cov, criterion.target):
-            raise InfeasibleDistortion(
-                "matrix distortion target does not dominate the floor at these rates"
-            )
-        return OracleBracket(value=linalg.det_sym(criterion.target), err=0.0)
-    raise InvalidInput(f"unknown criterion type {type(criterion).__name__}")
+    return OracleBracket(value=_matrix_cap_det(p, criterion, rates), err=0.0)
 
 
 def _ascend_det_capped(f_mat, caps, starts, seed):

@@ -213,9 +213,18 @@ class TestSumrate:
             assert float(row[4]) == sumrate.sum_rate_upper(mp, dv, starts=2, seed=0).value
             assert abs(float(row[4]) - float(row[3])) <= 1e-9
 
-    def test_byte_identical_reruns(self, tmp_path):
-        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["sumrate", "--input", mt_file(tmp_path), "--d", "0.5", "--starts", "2"]
+    @pytest.mark.parametrize(
+        "make_input, argv",
+        [
+            (mt_file, ["sumrate", "--d", "0.5", "--starts", "2"]),
+            (remote_pair_file, ["region", "--r", "0.4,0.6", "--mode", "outer", "--d-sum", "1.5"]),
+            (mt_file, ["match", "--d-sum", "0.5", "--points", "4"]),
+        ],
+        ids=["sumrate", "region-outer", "match"],
+    )
+    def test_byte_identical_reruns(self, tmp_path, make_input, argv):
+        out_a, out_b = tmp_path / "a.out", tmp_path / "b.out"
+        argv = argv + ["--input", make_input(tmp_path)]
         assert main(argv + ["--output", str(out_a)]) == 0
         assert main(argv + ["--output", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
@@ -268,8 +277,7 @@ class TestSumrate:
     def test_cyclic_flag_matches_module(self, tmp_path):
         out = tmp_path / "curve.csv"
         rc = main(
-            ["sumrate", "--input", mt_file(tmp_path), "--cyclic", "--samples", "6",
-             "--output", str(out)]
+            ["cyclic", "--input", mt_file(tmp_path), "--samples", "6", "--output", str(out)]
         )
         assert rc == 0
         header, rows = read_csv(out)
@@ -284,7 +292,7 @@ class TestSumrate:
             assert float(row[3]) == dd
 
     def test_cyclic_noncirculant_exit_3(self, tmp_path, capsys):
-        rc = main(["sumrate", "--input", noncirc_file(tmp_path), "--cyclic"])
+        rc = main(["cyclic", "--input", noncirc_file(tmp_path)])
         assert rc == 3
         assert "residual" in capsys.readouterr().err
 

@@ -85,6 +85,14 @@ class TestEigSym:
                 lead = col[np.abs(col) > 1e-12][0]
                 assert lead > 0.0
 
+    def test_lapack_failure_is_invalid_matrix(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(InvalidMatrix, match="failed to converge"):
+            linalg.eig_sym(np.eye(2))
+
 
 class TestDeterminants:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])

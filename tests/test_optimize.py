@@ -21,20 +21,6 @@ class TestGoldenSection:
             optimize.golden_section(lambda t: t, 1.0, 0.0)
 
 
-class TestBisectRoot:
-    def test_cosine_root(self):
-        x = optimize.bisect_root(np.cos, 0.0, 3.0)
-        assert np.isclose(x, np.pi / 2.0, atol=1e-12)
-
-    def test_descending_bracket(self):
-        x = optimize.bisect_root(lambda t: 2.0 - t, 0.0, 10.0)
-        assert np.isclose(x, 2.0, atol=1e-12)
-
-    def test_rejects_same_sign(self):
-        with pytest.raises(InvalidInput):
-            optimize.bisect_root(lambda t: 1.0 + t * t, 0.0, 1.0)
-
-
 class TestBisectThreshold:
     def test_step_function(self):
         x = optimize.bisect_threshold(lambda t: t >= 0.7, 0.0, 1.0)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rdregion import problems
+from rdregion import duality, problems, waterfill
 from rdregion.errors import (
     InvalidAuxRate,
     InvalidInput,
@@ -204,6 +204,31 @@ class TestFeasibility:
         # gamma=2 scales the error variance by 4: floor is 2.0
         rep = problems.feasibility(scalar_problem(gamma=2.0), VectorCrit([2.5]))
         assert rep.feasible and np.isclose(rep.margin, 0.5)
+
+
+class TestCheckCriterion:
+    # every entry point that takes a criterion rejects one that does not
+    # fit the problem's dimension, with the same error type
+    @pytest.mark.parametrize(
+        "crit",
+        [VectorCrit([1.0, 1.0]), MatrixCrit(np.eye(2)), 0.5],
+        ids=["vector-length", "matrix-shape", "unknown-type"],
+    )
+    def test_misfit_rejected_everywhere(self, crit):
+        p = scalar_problem()
+        mp = MultiterminalProblem(
+            sigma_y=np.array([[2.0]]), split_sigma_n=np.array([1.0]), gamma=np.eye(1)
+        )
+        with pytest.raises(InvalidInput):
+            problems.check_criterion(crit, 1)
+        with pytest.raises(InvalidInput):
+            problems.feasibility(p, crit)
+        with pytest.raises(InvalidInput):
+            waterfill.waterfill_det(p, crit, [0.5])
+        with pytest.raises(InvalidInput):
+            waterfill.det_oracle(p, crit, [0.5])
+        with pytest.raises(InvalidInput):
+            duality.dual_criterion(mp, crit)
 
 
 class TestWeightedSplit:
