@@ -32,6 +32,7 @@ from .problems import (
     SumCrit,
     VectorCrit,
     check_criterion,
+    mt_offset,
 )
 from .regions import RegionSpec, region_inner, region_outer
 from .waterfill import waterfill_det
@@ -79,12 +80,11 @@ class TransformData:
 def transform_data(mp: MultiterminalProblem) -> TransformData:
     """Estimator, posterior and offsets of the layout transform."""
     sigma_x = mp.implied_sigma_x
-    sigma_n = np.diag(mp.split_sigma_n)
     estimator = sigma_x @ linalg.inv_sym(mp.sigma_y)
     posterior = linalg.inv_sym(
         linalg.inv_sym(sigma_x) + np.diag(1.0 / mp.split_sigma_n)
     )
-    offset = linalg.as_symmetric(sigma_n + sigma_n @ linalg.inv_sym(sigma_x) @ sigma_n)
+    offset = mt_offset(mp)
     weighted = linalg.as_symmetric(mp.gamma @ offset @ mp.gamma.T)
     return TransformData(
         estimator=estimator,

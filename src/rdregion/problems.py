@@ -44,6 +44,7 @@ __all__ = [
     "posterior_precision",
     "weighted_error_covariance",
     "mt_posterior_precision",
+    "mt_offset",
     "criterion_margin",
     "feasibility",
     "weighted_split_problem",
@@ -290,6 +291,17 @@ def mt_posterior_precision(mp: MultiterminalProblem, r, keep=None) -> np.ndarray
     if keep is not None:
         diag = np.where(np.asarray(keep, dtype=bool), diag, 0.0)
     return linalg.inv_sym(mp.sigma_y) + np.diag(diag)
+
+
+def mt_offset(mp: MultiterminalProblem) -> np.ndarray:
+    """The covariance offset ``B = Sigma_N + Sigma_N Sigma_X^-1 Sigma_N``.
+
+    B is the gap between estimating the observations and estimating the
+    implied hidden source; it drives the multiterminal outer floors and
+    the layout transforms in :mod:`rdregion.duality`.
+    """
+    sn = np.diag(mp.split_sigma_n)
+    return linalg.as_symmetric(sn + sn @ linalg.inv_sym(mp.implied_sigma_x) @ sn)
 
 
 def criterion_margin(p: RemoteProblem, criterion: DistortionCriterion, cov) -> float:

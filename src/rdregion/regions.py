@@ -35,6 +35,7 @@ from .problems import (
     MultiterminalProblem,
     RemoteProblem,
     as_rates,
+    mt_offset,
     mt_posterior_precision,
     posterior_precision,
 )
@@ -208,17 +209,6 @@ def region_outer(p: RemoteProblem, r, theta: float) -> RegionSpec:
     _check_enum(p.l)
     bounds = {m: rate_bound_outer(p, r, m, theta) for m in subsets(p.l)}
     return RegionSpec(l=p.l, kind="outer", bounds=bounds)
-
-
-def mt_offset(mp: MultiterminalProblem) -> np.ndarray:
-    """The covariance offset ``B = Sigma_N + Sigma_N Sigma_X^-1 Sigma_N``.
-
-    B is the gap between estimating the observations and estimating the
-    implied hidden source; it drives the outer floors and the transforms
-    in :mod:`rdregion.duality`.
-    """
-    sn = np.diag(mp.split_sigma_n)
-    return sn + sn @ linalg.inv_sym(mp.implied_sigma_x) @ sn
 
 
 def mt_rate_bound_inner(mp: MultiterminalProblem, r, subset: int) -> float:

@@ -294,8 +294,9 @@ def sum_rate_lower(mp: MultiterminalProblem, d_vec, starts: int = 16, seed: int 
     Minimizes ``sum_l r_l + (1/2) log(det(Sigma_Y + B) / det(Sigma_d + B))``
     over rates r >= 0 and error covariances ``Sigma_d`` dominating the
     posterior floor with ``diag(Sigma_d) <= d_vec``, where ``B`` is the
-    layout-transform offset. The inner determinant maximization is exact
-    coordinate ascent (:func:`rdregion.waterfill.max_det_capped`); the
+    layout-transform offset. The inner determinant maximization is
+    :func:`rdregion.waterfill.max_det_capped` (closed form for two
+    encoders, Gram-factor ascent over feasible points above that); the
     outer search over rates is seeded multi-start coordinate descent, so
     the reported minimum is a valid bound but only a heuristic global
     optimum. The value is clamped at zero.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, optimize
+from . import linalg
 from .errors import InfeasibleBudget, InfeasibleDistortion, InvalidInput
 from .problems import (
     DistortionCriterion,
@@ -101,76 +101,16 @@ def water_level(floors, budget: float) -> WaterLevel:
     return WaterLevel(xi=float(best_xi), levels=np.maximum(c, best_xi))
 
 
-def _psd_interval(p0: np.ndarray, i: int, j: int):
-    """Range of the symmetric perturbation q*(E_ij + E_ji) keeping p0 PSD.
-
-    ``det(p0 + q*(E_ij+E_ji))`` is an exact quadratic in q with negative
-    leading coefficient, so the interval endpoints are its roots. Away from
-    the cone boundary they come directly from the inverse; on the boundary
-    the quadratic is recovered from three determinant samples. A bisection
-    on the smallest eigenvalue covers the degenerate case.
-    """
-    spec = linalg.eig_sym(p0)
-    top = max(spec.eigenvalues[-1], 0.0)
-    if spec.eigenvalues[0] > 1e-10 * max(top, 1e-300):
-        g = (spec.basis / spec.eigenvalues) @ spec.basis.T
-        root = math.sqrt(g[i, i] * g[j, j])
-        return -1.0 / (g[i, j] + root), 1.0 / (root - g[i, j])
-
-    def shifted_det(q):
-        m = p0.copy()
-        m[i, j] += q
-        m[j, i] += q
-        return linalg.det_sym(m)
-
-    h = 1.0 + float(np.abs(p0).max())
-    d0 = float(np.prod(spec.eigenvalues))
-    dp, dm = shifted_det(h), shifted_det(-h)
-    a = (dp + dm - 2.0 * d0) / (2.0 * h * h)
-    b = (dp - dm) / (2.0 * h)
-    poly_scale = max(abs(d0), abs(dp), abs(dm), 1e-300)
-    if a < -1e-13 * poly_scale / (h * h):
-        disc = b * b - 4.0 * a * d0
-        if disc <= 0.0:
-            return 0.0, 0.0
-        sq = math.sqrt(disc)
-        r1 = (-b + sq) / (2.0 * a)
-        r2 = (-b - sq) / (2.0 * a)
-        return min(r1, r2, 0.0), max(r1, r2, 0.0)
-    # leading minor vanished as well: fall back to an eigenvalue bisection
-    scale = max(1.0, float(np.abs(p0).max()))
-
-    def violated(q):
-        m = p0.copy()
-        m[i, j] += q
-        m[j, i] += q
-        return linalg.min_eig(m) < -1e-13 * scale
-
-    def endpoint(sign):
-        hi = scale
-        while not violated(sign * hi):
-            hi *= 2.0
-            if hi > 1e12 * scale:
-                return sign * hi
-        if violated(sign * 1e-15):
-            return 0.0
-        return sign * optimize.bisect_threshold(lambda t: violated(sign * t), 0.0, hi)
-
-    return endpoint(-1.0), endpoint(1.0)
-
-
-def max_det_capped(floor_mat, caps, offset=None, value_tol: float = 1e-12,
-                   max_sweeps: int = 200) -> np.ndarray:
+def max_det_capped(floor_mat, caps, offset=None) -> np.ndarray:
     """Maximize ``logdet(Z + offset)`` over ``Z >= floor_mat`` (Loewner)
     with per-coordinate caps ``diag(Z) <= caps``.
 
-    The optimum always pins the diagonal at the caps. When the stationary
-    matrix with that diagonal dominates the floor it is returned in closed
-    form. Otherwise the off-diagonal entries are found by cyclic coordinate
-    ascent -- exact for two coordinates -- followed, in higher dimension,
-    by gradient ascent on a Gram-factor parametrization of
-    ``Z - floor_mat``, which keeps moving along the semidefinite-cone
-    boundary where single-entry steps lock up.
+    The optimum always pins the diagonal at the caps. For two coordinates
+    the off-diagonal entry is then the feasible value closest to
+    ``-offset[0, 1]``, in closed form. In higher dimension the stationary
+    matrix with that diagonal is returned when it dominates the floor;
+    otherwise gradient ascent runs on a Gram factor of ``Z - floor_mat``,
+    whose iterates are feasible by construction.
     """
     f = linalg.as_symmetric(floor_mat)
     k = f.shape[0]
@@ -193,6 +133,13 @@ def max_det_capped(floor_mat, caps, offset=None, value_tol: float = 1e-12,
     z = f + np.diag(slack)
     if k == 1:
         return z
+    if k == 2:
+        # det(Z + offset) with the diagonal pinned is a downward parabola
+        # in z12; Z - floor stays semidefinite while |z12 - f12| <= sqrt(s1 s2)
+        half = math.sqrt(slack[0] * slack[1])
+        z12 = min(max(-g_off[0, 1], f[0, 1] - half), f[0, 1] + half)
+        z[0, 1] = z[1, 0] = z12
+        return z
     # stationarity with the caps binding: (Z + offset)^-1 diagonal, i.e.
     # Z = diag(caps + diag(offset)) - offset; optimal whenever it
     # dominates the floor
@@ -201,47 +148,11 @@ def max_det_capped(floor_mat, caps, offset=None, value_tol: float = 1e-12,
         z_int = np.diag(diag_full) - g_off
         if linalg.loewner_leq(f, z_int):
             return z_int
-    active = slack > tol_vec
-
-    def objective(mat):
-        return linalg.logdet_sym(mat + g_off)
-
-    best = objective(z)
-    for _ in range(max_sweeps):
-        start = best
-        for i in range(k - 1):
-            for j in range(i + 1, k):
-                if not (active[i] and active[j]):
-                    continue
-                q_lo, q_hi = _psd_interval(z - f, i, j)
-                if q_hi - q_lo <= 1e-14:
-                    continue
-                g = linalg.inv_sym(z + g_off)
-                den = g[i, i] * g[j, j] - g[i, j] ** 2
-                if den <= 0.0:
-                    continue
-                q_star = min(max(g[i, j] / den, q_lo), q_hi)
-                # relative determinant gain of the step, from the same quadratic
-                gain = (1.0 + q_star * g[i, j]) ** 2 - q_star * q_star * g[i, i] * g[j, j]
-                if gain <= 1.0:
-                    continue
-                z[i, j] += q_star
-                z[j, i] += q_star
-                best += math.log(gain)
-        best = objective(z)
-        if best - start < value_tol:
-            break
-    if k >= 3:
-        spec = linalg.eig_sym(z - f)
-        l0 = spec.basis * np.sqrt(np.clip(spec.eigenvalues, 0.0, None))[None, :]
-        l_fin, _ = _sphere_ascent(f + g_off, slack, l0, max_iter=250, gain_tol=1e-13)
-        z_pol = linalg.as_symmetric(f + l_fin @ l_fin.T)
-        if objective(z_pol) > best:
-            z = z_pol
-    return z
+    l_fin, _ = _sphere_ascent(f + g_off, slack, np.diag(np.sqrt(slack)))
+    return linalg.as_symmetric(f + l_fin @ l_fin.T)
 
 
-def _sphere_ascent(base, slack, l0, max_iter: int = 1500, gain_tol: float = 1e-14):
+def _sphere_ascent(base, slack, l0):
     """Maximize ``logdet(base + L @ L.T)`` with row i of L pinned to norm
     ``sqrt(slack[i])``.
 
@@ -249,7 +160,9 @@ def _sphere_ascent(base, slack, l0, max_iter: int = 1500, gain_tol: float = 1e-1
     capped determinant problem by construction: the Gram term dominates
     zero and its diagonal equals the slack exactly, so the projection step
     is plain row renormalization and there are no cone corners to stall on.
-    Backtracking gradient ascent with an adaptive step.
+    Backtracking gradient ascent with an adaptive step, for at most 1500
+    steps; it stops early once three steps in a row gain less than 1e-14
+    relative to the value.
     """
     tgt = np.sqrt(np.clip(np.asarray(slack, dtype=float), 0.0, None))
 
@@ -266,7 +179,7 @@ def _sphere_ascent(base, slack, l0, max_iter: int = 1500, gain_tol: float = 1e-1
     cur = value(l_mat)
     step = 0.1
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(1500):
         h = np.linalg.inv(base + l_mat @ l_mat.T)
         grad = 2.0 * h @ l_mat
         g_nrm = float(np.sqrt((grad * grad).sum()))
@@ -285,7 +198,7 @@ def _sphere_ascent(base, slack, l0, max_iter: int = 1500, gain_tol: float = 1e-1
             step *= 0.5
         else:
             break
-        if gain < gain_tol * max(1.0, abs(cur)):
+        if gain < 1e-14 * max(1.0, abs(cur)):
             stall += 1
             if stall >= 3:
                 break

@@ -82,9 +82,13 @@ class TestWaterLevel:
 
 
 class TestMaxDetCapped:
-    def test_two_dim_closed_form(self):
+    def test_two_dim_closed_form(self, monkeypatch):
         # with the diagonal pinned at the caps, det = c1*c2 - z12^2 is
-        # maximized by the feasible z12 closest to zero
+        # maximized by the feasible z12 closest to zero; the clip needs no
+        # eigendecomposition
+        eig_calls = []
+        eig_sym = linalg.eig_sym
+        monkeypatch.setattr(linalg, "eig_sym", lambda m: eig_calls.append(1) or eig_sym(m))
         rng = np.random.default_rng(23)
         for _ in range(30):
             m = rng.normal(size=(2, 2))
@@ -96,16 +100,18 @@ class TestMaxDetCapped:
             z12 = min(max(0.0, f[0, 1] - half), f[0, 1] + half)
             assert np.allclose(np.diag(z), caps, atol=1e-10)
             assert np.isclose(z[0, 1], z12, atol=1e-8)
+        assert not eig_calls
 
     def test_result_dominates_floor(self):
         rng = np.random.default_rng(24)
-        for k in (2, 3, 4):
-            m = rng.normal(size=(k, k))
-            f = m @ m.T + 0.2 * np.eye(k)
-            caps = np.diag(f) + rng.uniform(0.01, 1.0, size=k)
-            z = waterfill.max_det_capped(f, caps)
-            assert linalg.min_eig(z - f) >= -1e-10
-            assert np.all(np.diag(z) <= caps + 1e-10)
+        for k in (2, 3, 4, 5, 6, 8):
+            for _ in range(5):
+                m = rng.normal(size=(k, k))
+                f = m @ m.T + 0.2 * np.eye(k)
+                caps = np.diag(f) + rng.uniform(0.01, 1.0, size=k)
+                z = waterfill.max_det_capped(f, caps)
+                assert linalg.min_eig(z - f) >= -1e-10
+                assert np.all(np.diag(z) <= caps + 1e-10)
 
     def test_infeasible_caps(self):
         f = np.array([[1.0, 0.2], [0.2, 1.0]])
@@ -268,11 +274,22 @@ class TestDetOracle:
 
     def test_vector_brackets_waterfill(self):
         rng = np.random.default_rng(43)
+        cases = []
         for _ in range(8):
             p = random_remote(rng, 3, 3)
             r = rng.uniform(0.1, 1.2, size=3)
             f_mat = p.gamma @ linalg.inv_sym(posterior_precision(p, r)) @ p.gamma.T
             caps = np.diag(f_mat) * rng.uniform(1.05, 2.0, size=3)
+            cases.append((p, r, caps))
+        # five coordinates at zero rates: the floor is sigma_x itself, and
+        # the optimum leaves Z - floor with a rank deficit above one
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(5, 5))
+        f_mat = m @ m.T + 0.2 * np.eye(5)
+        caps = np.diag(f_mat) * rng.uniform(1.05, 1.8, size=5)
+        p = RemoteProblem(sigma_x=f_mat, a_mat=np.eye(5), noise_vars=np.ones(5), gamma=np.eye(5))
+        cases.append((p, np.zeros(5), caps))
+        for p, r, caps in cases:
             theta = waterfill.waterfill_det(p, VectorCrit(caps), r)
             bracket = waterfill.det_oracle(p, VectorCrit(caps), r, starts=8)
             scale = max(1.0, bracket.value)
