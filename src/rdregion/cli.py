@@ -429,17 +429,12 @@ def cmd_twoterm(args) -> int:
         if args.curve:
             if args.d_cap is None:
                 raise _UsageError("--curve needs --d-cap, the single distortion cap")
-            if args.samples < 2:
-                raise _UsageError("--samples must be at least 2")
-            if not (0.0 < args.s_min <= 1.0):
-                raise _UsageError("--s-min must lie in (0, 1]")
-            grid = np.exp(np.linspace(math.log(args.s_min), 0.0, args.samples))
-            rows = []
-            for s in grid:
-                r1, r2 = sumrate.twoterm_curve_point(
-                    args.sigma1, args.sigma2, args.rho, args.d_cap, args.which, float(s)
-                )
-                rows.append([float(s), r1, r1 / _LN2, r2, r2 / _LN2])
+            grid = sumrate.twoterm_curve_grid(args.samples, args.s_min)
+            curve = sumrate.twoterm_region_curve(
+                args.sigma1, args.sigma2, args.rho, args.d_cap, args.which,
+                args.samples, s_min=args.s_min,
+            )
+            rows = [[s, r1, r1 / _LN2, r2, r2 / _LN2] for s, (r1, r2) in zip(grid, curve)]
             header = ["s", "r1_nats", "r1_bits", "r2_nats", "r2_bits"]
             _emit_table(args, header, rows, extra={"mode": "curve", "which": args.which})
         else:

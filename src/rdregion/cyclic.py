@@ -108,7 +108,8 @@ def cyclic_instance(sigma_y, epsilon: float | None = None) -> CyclicInstance:
     split consumes the smallest eigenvalue.
     """
     s = linalg.as_symmetric(sigma_y)
-    if linalg.min_eig(s) <= 0.0:
+    mu = np.linalg.eigvalsh(s)
+    if mu[0] <= 0.0:
         raise InvalidMatrix("sigma_y must be positive definite")
     resid = shift_residual(s)
     if resid > 1e-9:
@@ -116,7 +117,6 @@ def cyclic_instance(sigma_y, epsilon: float | None = None) -> CyclicInstance:
             f"sigma_y is not invariant under cyclic index rotation "
             f"(residual {resid:.3e})"
         )
-    mu = linalg.eig_sym(s).eigenvalues
     if epsilon is None:
         epsilon = float(mu[0]) * (1.0 - 1e-9)
     epsilon = float(epsilon)

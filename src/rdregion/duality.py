@@ -18,8 +18,6 @@ separate so they can be cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -30,9 +28,9 @@ from .problems import (
     MultiterminalProblem,
     RemoteProblem,
     SumCrit,
+    TransformData,
     VectorCrit,
     check_criterion,
-    mt_offset,
 )
 from .regions import RegionSpec, region_inner, region_outer
 from .waterfill import waterfill_det
@@ -49,51 +47,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TransformData:
-    """Matrices linking the multiterminal and remote views of a problem.
-
-    Attributes
-    ----------
-    estimator : (L, L) ndarray
-        ``A~ = Sigma_X (Sigma_X + Sigma_N)^-1``, the MMSE map from Y to X.
-    posterior : (L, L) ndarray
-        ``(Sigma_X^-1 + Sigma_N^-1)^-1``, the error of that estimate.
-    offset : (L, L) ndarray
-        ``B = Sigma_N + Sigma_N Sigma_X^-1 Sigma_N``.
-    offset_weighted : (L, L) ndarray
-        ``Gamma B Gamma^T``.
-    offset_diag : (L,) ndarray
-        Diagonal of ``offset_weighted`` (per-coordinate budget shifts).
-    offset_trace : float
-        Trace of ``offset_weighted`` (sum budget shift).
-    """
-
-    estimator: np.ndarray
-    posterior: np.ndarray
-    offset: np.ndarray
-    offset_weighted: np.ndarray
-    offset_diag: np.ndarray
-    offset_trace: float
-
-
 def transform_data(mp: MultiterminalProblem) -> TransformData:
-    """Estimator, posterior and offsets of the layout transform."""
-    sigma_x = mp.implied_sigma_x
-    estimator = sigma_x @ linalg.inv_sym(mp.sigma_y)
-    posterior = linalg.inv_sym(
-        linalg.inv_sym(sigma_x) + np.diag(1.0 / mp.split_sigma_n)
-    )
-    offset = mt_offset(mp)
-    weighted = linalg.as_symmetric(mp.gamma @ offset @ mp.gamma.T)
-    return TransformData(
-        estimator=estimator,
-        posterior=posterior,
-        offset=offset,
-        offset_weighted=weighted,
-        offset_diag=np.diag(weighted).copy(),
-        offset_trace=float(np.trace(weighted)),
-    )
+    """Estimator, posterior and offsets of the layout transform (cached on
+    the problem, see :attr:`MultiterminalProblem.transform`)."""
+    return mp.transform
 
 
 def dual_remote(mp: MultiterminalProblem) -> RemoteProblem:

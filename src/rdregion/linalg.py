@@ -1,9 +1,23 @@
 """Dense symmetric-matrix utilities.
 
-Everything operates on plain numpy arrays. Eigendecompositions use LAPACK's
-symmetric solver through ``np.linalg.eigh``. Determinants, log-determinants
-and inverses of symmetric matrices are derived from the eigenvalues so they
-stay consistent with the Loewner-order tests built on the same spectra.
+Everything operates on plain numpy arrays. Two kinds of function live
+here, and the split is the rule for the whole package: validate where a
+matrix enters, trust it inside.
+
+* Validating entries (``as_symmetric``, ``eig_sym``, ``det_sym``,
+  ``logdet_sym``, ``inv_sym``, ``min_eig``, ``loewner_leq``) accept any
+  array, reject malformed or asymmetric input and then do their work.
+* Trusted kernels (``inv_pd``, ``logdet_pd``) take a matrix the caller
+  built symmetric positive definite and check nothing but the pivots of
+  its Cholesky factor: they raise SingularInput when the factorization
+  fails or when ``min(diag L)^2 <= 1e-14 * max(diag L)^2``. Solver code
+  calls them on the precisions, covariances and offsets it assembles, so
+  nothing is validated twice.
+
+Inverses and log-determinants of positive definite matrices come from the
+Cholesky factor; spectra come from LAPACK's symmetric eigensolver through
+``np.linalg.eigvalsh`` (eigenvalues only) or ``np.linalg.eigh`` (with a
+basis, in ``eig_sym``).
 
 Determinism: the same input gives bit-identical output on reruns with the
 same numpy and LAPACK build on the same machine. Results from another build
@@ -31,6 +45,8 @@ __all__ = [
     "det_sym",
     "logdet_sym",
     "inv_sym",
+    "logdet_pd",
+    "inv_pd",
     "min_eig",
     "loewner_leq",
     "householder_to_axis",
@@ -95,31 +111,54 @@ def eig_sym(m) -> Spectrum:
 
 def det_sym(m) -> float:
     """Determinant of a symmetric matrix as the product of its eigenvalues."""
-    return float(np.prod(eig_sym(m).eigenvalues))
+    return float(np.prod(np.linalg.eigvalsh(as_symmetric(m))))
+
+
+def _cholesky(a) -> np.ndarray:
+    # Lower Cholesky factor with a pivot guard; the negated comparison also
+    # rejects an infinite pivot.
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise SingularInput("matrix is not positive definite") from None
+    pivots = low.diagonal().tolist()
+    lo, hi = min(pivots), max(pivots)
+    if not lo * lo > 1e-14 * hi * hi:
+        raise SingularInput("matrix is singular or numerically singular")
+    return low
+
+
+def logdet_pd(a) -> float:
+    """Log-determinant of a trusted symmetric positive definite matrix."""
+    return 2.0 * float(np.log(_cholesky(a).diagonal()).sum())
+
+
+def inv_pd(a) -> np.ndarray:
+    """Exactly symmetric inverse of a trusted symmetric positive definite
+    matrix.
+
+    The Cholesky factor certifies definiteness and conditioning; the
+    inverse itself is LAPACK's LU inverse, which keeps exact results exact
+    (the inverse of [[2]] is [[0.5]], not the square of 1/sqrt(2)).
+    """
+    _cholesky(a)
+    inv = np.linalg.inv(a)
+    return 0.5 * (inv + inv.T)
 
 
 def logdet_sym(m) -> float:
     """Log-determinant of a symmetric positive definite matrix."""
-    w = eig_sym(m).eigenvalues
-    if w[0] <= 0.0:
-        raise SingularInput(f"matrix is not positive definite (min eigenvalue {w[0]:.3e})")
-    return float(np.sum(np.log(w)))
+    return logdet_pd(as_symmetric(m))
 
 
 def inv_sym(m) -> np.ndarray:
-    """Inverse of a symmetric matrix through its eigendecomposition."""
-    spec = eig_sym(m)
-    w = spec.eigenvalues
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if scale == 0.0 or np.min(np.abs(w)) <= 1e-14 * scale:
-        raise SingularInput("matrix is singular or numerically singular")
-    inv = (spec.basis / w) @ spec.basis.T
-    return 0.5 * (inv + inv.T)
+    """Inverse of a symmetric positive definite matrix."""
+    return inv_pd(as_symmetric(m))
 
 
 def min_eig(m) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
-    return float(eig_sym(m).eigenvalues[0])
+    return float(np.linalg.eigvalsh(as_symmetric(m))[0])
 
 
 def loewner_leq(a, b, tol: float | None = None) -> bool:
@@ -135,7 +174,7 @@ def loewner_leq(a, b, tol: float | None = None) -> bool:
     diff = b - a
     if tol is None:
         tol = 1e-9 * max(1.0, float(np.max(np.abs(diff))) if diff.size else 0.0)
-    return min_eig(diff) >= -tol
+    return float(np.linalg.eigvalsh(diff)[0]) >= -tol
 
 
 def householder_to_axis(v, k: int) -> np.ndarray:

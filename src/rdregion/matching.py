@@ -50,18 +50,19 @@ def weighted_spectrum(p: RemoteProblem, r) -> np.ndarray:
     rates = as_rates(r, p.l)
     gamma_inv = np.linalg.inv(p.gamma)
     w = gamma_inv.T @ posterior_precision(p, rates) @ gamma_inv
-    return linalg.eig_sym(linalg.as_symmetric(w)).eigenvalues
+    return np.linalg.eigvalsh(0.5 * (w + w.T))
 
 
 def _limit_weighted(p: RemoteProblem) -> np.ndarray:
     gamma_inv = np.linalg.inv(p.gamma)
-    m_inf = linalg.inv_sym(p.sigma_x) + p.a_mat.T @ (p.a_mat / p.noise_vars[:, None])
-    return linalg.as_symmetric(gamma_inv.T @ m_inf @ gamma_inv)
+    m_inf = p.sigma_x_inv + p.a_mat.T @ (p.a_mat / p.noise_vars[:, None])
+    w = gamma_inv.T @ m_inf @ gamma_inv
+    return 0.5 * (w + w.T)
 
 
 def limit_spectrum(p: RemoteProblem) -> np.ndarray:
     """Ascending eigenvalues of the weighted precision at unbounded rates."""
-    return linalg.eig_sym(_limit_weighted(p)).eigenvalues
+    return np.linalg.eigvalsh(_limit_weighted(p))
 
 
 def _haar_fixing_axis(rng, k: int, axis: int) -> np.ndarray:
@@ -92,7 +93,7 @@ def rotation_bound(p: RemoteProblem, row: int, samples: int = 64, seed: int = 0)
     if not 0 <= row < p.l:
         raise InvalidInput(f"row must be in [0, {p.l})")
     w_star = _limit_weighted(p)
-    a_max = linalg.eig_sym(w_star).eigenvalues[-1]
+    a_max = np.linalg.eigvalsh(w_star)[-1]
     a_hat = weighted_rows(p)[row]
     if float(np.linalg.norm(a_hat)) <= 0.0:
         raise DegenerateInput("observation row vanishes in weighted coordinates")

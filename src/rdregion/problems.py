@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import (
 __all__ = [
     "RemoteProblem",
     "MultiterminalProblem",
+    "TransformData",
     "MatrixCrit",
     "VectorCrit",
     "SumCrit",
@@ -51,6 +53,13 @@ __all__ = [
     "problem_from_dict",
     "load_problem",
 ]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    # cached arrays are shared by every caller; an in-place edit would
+    # silently corrupt the cache, so it raises instead
+    a.setflags(write=False)
+    return a
 
 
 def _check_invertible(name: str, m: np.ndarray) -> None:
@@ -74,6 +83,9 @@ class RemoteProblem:
     gamma : (K, K) ndarray
         Invertible distortion weight; the reconstruction error is measured
         through ``gamma @ (x - xhat)``.
+
+    ``sigma_x_inv`` is computed on first use and cached; cached arrays are
+    read-only.
     """
 
     sigma_x: np.ndarray
@@ -114,6 +126,10 @@ class RemoteProblem:
     def k(self) -> int:
         return self.sigma_x.shape[0]
 
+    @cached_property
+    def sigma_x_inv(self) -> np.ndarray:
+        return _read_only(linalg.inv_pd(self.sigma_x))
+
     @property
     def l(self) -> int:
         return self.a_mat.shape[0]
@@ -126,6 +142,9 @@ class MultiterminalProblem:
     ``split_sigma_n`` carries the diagonal of the noise part of the split
     ``sigma_y = sigma_x + diag(split_sigma_n)``; the implied source part
     must stay positive definite.
+
+    The per-problem constants below are computed on first use and cached;
+    cached arrays are read-only.
     """
 
     sigma_y: np.ndarray
@@ -163,6 +182,76 @@ class MultiterminalProblem:
     @property
     def implied_sigma_x(self) -> np.ndarray:
         return self.sigma_y - np.diag(self.split_sigma_n)
+
+    @cached_property
+    def sigma_y_inv(self) -> np.ndarray:
+        return _read_only(linalg.inv_pd(self.sigma_y))
+
+    @cached_property
+    def logdet_sigma_y(self) -> float:
+        return linalg.logdet_pd(self.sigma_y)
+
+    @cached_property
+    def offset(self) -> np.ndarray:
+        """The covariance offset ``B = Sigma_N + Sigma_N Sigma_X^-1 Sigma_N``.
+
+        B is the gap between estimating the observations and estimating
+        the implied hidden source; it drives the multiterminal outer floors
+        and the layout transforms in :mod:`rdregion.duality`.
+        """
+        sn = np.diag(self.split_sigma_n)
+        b = sn + sn @ linalg.inv_pd(self.implied_sigma_x) @ sn
+        return _read_only(0.5 * (b + b.T))
+
+    @cached_property
+    def logdet_sigma_y_offset(self) -> float:
+        """``logdet(Sigma_Y + B)``."""
+        return linalg.logdet_pd(self.sigma_y + self.offset)
+
+    @cached_property
+    def transform(self) -> TransformData:
+        """Estimator, posterior and offsets of the layout transform."""
+        posterior = linalg.inv_pd(
+            linalg.inv_pd(self.implied_sigma_x) + np.diag(1.0 / self.split_sigma_n)
+        )
+        weighted = self.gamma @ self.offset @ self.gamma.T
+        weighted = 0.5 * (weighted + weighted.T)
+        return TransformData(
+            estimator=_read_only(self.implied_sigma_x @ self.sigma_y_inv),
+            posterior=_read_only(posterior),
+            offset=self.offset,
+            offset_weighted=_read_only(weighted),
+            offset_diag=_read_only(np.diag(weighted).copy()),
+            offset_trace=float(np.trace(weighted)),
+        )
+
+
+@dataclass(frozen=True)
+class TransformData:
+    """Matrices linking the multiterminal and remote views of a problem.
+
+    Attributes
+    ----------
+    estimator : (L, L) ndarray
+        ``A~ = Sigma_X (Sigma_X + Sigma_N)^-1``, the MMSE map from Y to X.
+    posterior : (L, L) ndarray
+        ``(Sigma_X^-1 + Sigma_N^-1)^-1``, the error of that estimate.
+    offset : (L, L) ndarray
+        ``B = Sigma_N + Sigma_N Sigma_X^-1 Sigma_N``.
+    offset_weighted : (L, L) ndarray
+        ``Gamma B Gamma^T``.
+    offset_diag : (L,) ndarray
+        Diagonal of ``offset_weighted`` (per-coordinate budget shifts).
+    offset_trace : float
+        Trace of ``offset_weighted`` (sum budget shift).
+    """
+
+    estimator: np.ndarray
+    posterior: np.ndarray
+    offset: np.ndarray
+    offset_weighted: np.ndarray
+    offset_diag: np.ndarray
+    offset_trace: float
 
 
 @dataclass(frozen=True)
@@ -247,8 +336,8 @@ def conditional_covariance(p: RemoteProblem) -> np.ndarray:
 
     Computes ``(sigma_x^-1 + a.T diag(1/noise_vars) a)^-1``.
     """
-    prec = linalg.inv_sym(p.sigma_x) + p.a_mat.T @ (p.a_mat / p.noise_vars[:, None])
-    return linalg.inv_sym(prec)
+    prec = p.sigma_x_inv + p.a_mat.T @ (p.a_mat / p.noise_vars[:, None])
+    return linalg.inv_pd(prec)
 
 
 def noise_precision(p: RemoteProblem, r) -> np.ndarray:
@@ -270,7 +359,7 @@ def posterior_precision(p: RemoteProblem, r, keep=None) -> np.ndarray:
     diag = noise_precision(p, r)
     if keep is not None:
         diag = np.where(np.asarray(keep, dtype=bool), diag, 0.0)
-    return linalg.inv_sym(p.sigma_x) + p.a_mat.T @ (p.a_mat * diag[:, None])
+    return p.sigma_x_inv + p.a_mat.T @ (p.a_mat * diag[:, None])
 
 
 def weighted_error_covariance(p: RemoteProblem) -> np.ndarray:
@@ -290,18 +379,13 @@ def mt_posterior_precision(mp: MultiterminalProblem, r, keep=None) -> np.ndarray
     diag = np.expm1(2.0 * rates) / mp.split_sigma_n
     if keep is not None:
         diag = np.where(np.asarray(keep, dtype=bool), diag, 0.0)
-    return linalg.inv_sym(mp.sigma_y) + np.diag(diag)
+    return mp.sigma_y_inv + np.diag(diag)
 
 
 def mt_offset(mp: MultiterminalProblem) -> np.ndarray:
-    """The covariance offset ``B = Sigma_N + Sigma_N Sigma_X^-1 Sigma_N``.
-
-    B is the gap between estimating the observations and estimating the
-    implied hidden source; it drives the multiterminal outer floors and
-    the layout transforms in :mod:`rdregion.duality`.
-    """
-    sn = np.diag(mp.split_sigma_n)
-    return linalg.as_symmetric(sn + sn @ linalg.inv_sym(mp.implied_sigma_x) @ sn)
+    """The covariance offset B of a multiterminal problem (cached, see
+    :attr:`MultiterminalProblem.offset`)."""
+    return mp.offset
 
 
 def criterion_margin(p: RemoteProblem, criterion: DistortionCriterion, cov) -> float:

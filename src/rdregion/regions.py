@@ -35,7 +35,6 @@ from .problems import (
     MultiterminalProblem,
     RemoteProblem,
     as_rates,
-    mt_offset,
     mt_posterior_precision,
     posterior_precision,
 )
@@ -168,7 +167,7 @@ def rate_bound_inner(p: RemoteProblem, r, subset: int) -> float:
     members = _subset_members(subset, p.l)
     m_full = posterior_precision(p, rates)
     m_comp = posterior_precision(p, rates, keep=~members)
-    gap = 0.5 * (linalg.logdet_sym(m_full) - linalg.logdet_sym(m_comp))
+    gap = 0.5 * (linalg.logdet_pd(m_full) - linalg.logdet_pd(m_comp))
     return gap + float(rates[members].sum())
 
 
@@ -184,7 +183,7 @@ def rate_bound_outer(p: RemoteProblem, r, subset: int, theta: float) -> float:
     members = _subset_members(subset, p.l)
     m_comp = posterior_precision(p, rates, keep=~members)
     val = float(rates[members].sum()) - 0.5 * (
-        math.log(theta) + linalg.logdet_sym(m_comp)
+        math.log(theta) + linalg.logdet_pd(m_comp)
     )
     return max(0.0, val)
 
@@ -221,7 +220,7 @@ def mt_rate_bound_inner(mp: MultiterminalProblem, r, subset: int) -> float:
     members = _subset_members(subset, mp.l)
     full = mt_posterior_precision(mp, rates)
     comp = mt_posterior_precision(mp, rates, keep=~members)
-    return 0.5 * (linalg.logdet_sym(full) - linalg.logdet_sym(comp))
+    return 0.5 * (linalg.logdet_pd(full) - linalg.logdet_pd(comp))
 
 
 def mt_rate_bound_outer(mp: MultiterminalProblem, r, subset: int, theta_tilde: float) -> float:
@@ -240,11 +239,11 @@ def mt_rate_bound_outer(mp: MultiterminalProblem, r, subset: int, theta_tilde: f
     members = _subset_members(subset, mp.l)
     comp = mt_posterior_precision(mp, rates, keep=~members)
     val = 0.5 * (
-        linalg.logdet_sym(mp.sigma_y + mt_offset(mp))
+        mp.logdet_sigma_y_offset
         + 2.0 * float(rates.sum())
         - math.log(theta_tilde)
-        - linalg.logdet_sym(mp.sigma_y)
-        - linalg.logdet_sym(comp)
+        - mp.logdet_sigma_y
+        - linalg.logdet_pd(comp)
     )
     return max(0.0, val)
 

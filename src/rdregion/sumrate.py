@@ -23,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, optimize
-from .duality import transform_data
 from .errors import (
     InfeasibleDistortion,
     InvalidAuxRate,
@@ -33,7 +32,7 @@ from .errors import (
     InvalidWeights,
 )
 from .problems import MultiterminalProblem, as_rates, mt_posterior_precision
-from .waterfill import max_det_capped, water_level
+from .waterfill import _max_det_capped, max_det_capped, water_level
 
 __all__ = [
     "SumRateResult",
@@ -48,6 +47,7 @@ __all__ = [
     "zeta",
     "twoterm_sum_rate",
     "twoterm_curve_point",
+    "twoterm_curve_grid",
     "twoterm_region_curve",
     "boundary_batch",
 ]
@@ -113,7 +113,7 @@ def _caps(mp: MultiterminalProblem, d_vec) -> np.ndarray:
 
 
 def _upper_value(mp: MultiterminalProblem, prec: np.ndarray) -> float:
-    return 0.5 * (linalg.logdet_sym(prec) + linalg.logdet_sym(mp.sigma_y))
+    return 0.5 * (linalg.logdet_pd(prec) + mp.logdet_sigma_y)
 
 
 def _upper_complementarity(syi, d, p0, max_iter=400, damp=False):
@@ -126,7 +126,7 @@ def _upper_complementarity(syi, d, p0, max_iter=400, damp=False):
     for _ in range(max_iter):
         change = 0.0
         for i in range(l):
-            g = linalg.inv_sym(syi + np.diag(p))
+            g = linalg.inv_pd(syi + np.diag(p))
             new = max(0.0, p[i] + 1.0 / d[i] - 1.0 / g[i, i])
             if damp:
                 new = 0.5 * (p[i] + new)
@@ -150,18 +150,18 @@ def sum_rate_upper(mp: MultiterminalProblem, d_vec, starts: int = 16,
     zero per coordinate.
     """
     d = _caps(mp, d_vec)
-    syi = linalg.inv_sym(mp.sigma_y)
+    syi = mp.sigma_y_inv
     rng = np.random.default_rng(seed)
     best_p, best_val = None, math.inf
     for s in range(max(1, int(starts))):
         p0 = np.zeros(mp.l) if s == 0 else rng.uniform(0.0, 1.0, mp.l) / d
         p = _upper_complementarity(syi, d, p0)
         prec = syi + np.diag(p)
-        diag = np.diag(linalg.inv_sym(prec))
+        diag = np.diag(linalg.inv_pd(prec))
         if np.any(diag > d * (1.0 + 1e-9) + 1e-12):
             p = _upper_complementarity(syi, d, p, max_iter=4000, damp=True)
             prec = syi + np.diag(p)
-            diag = np.diag(linalg.inv_sym(prec))
+            diag = np.diag(linalg.inv_pd(prec))
             if np.any(diag > d * (1.0 + 1e-9) + 1e-12):
                 continue
         val = _upper_value(mp, prec)
@@ -179,7 +179,7 @@ def _upper_bisect(syi, d):
     l = d.shape[0]
 
     def ok(p):
-        return bool(np.all(np.diag(linalg.inv_sym(syi + np.diag(p))) <= d))
+        return bool(np.all(np.diag(linalg.inv_pd(syi + np.diag(p))) <= d))
 
     p = 10.0 / d
     for _ in range(60):
@@ -302,13 +302,12 @@ def sum_rate_lower(mp: MultiterminalProblem, d_vec, starts: int = 16, seed: int 
     optimum. The value is clamped at zero.
     """
     d = _caps(mp, d_vec)
-    td = transform_data(mp)
-    b = td.offset
-    log_syb = linalg.logdet_sym(mp.sigma_y + b)
+    b = mp.offset
+    log_syb = mp.logdet_sigma_y_offset
     tol_vec = 1e-12 * np.maximum(1.0, np.abs(d))
 
     def floor_at(rates):
-        return linalg.inv_sym(mt_posterior_precision(mp, rates))
+        return linalg.inv_pd(mt_posterior_precision(mp, rates))
 
     def feas(rates):
         # same subtraction as the cap check inside max_det_capped, so the
@@ -317,10 +316,11 @@ def sum_rate_lower(mp: MultiterminalProblem, d_vec, starts: int = 16, seed: int 
 
     def f(rates):
         fl = floor_at(rates)
-        if np.any(d - np.diag(fl) < -tol_vec):
+        slack = d - np.diag(fl)
+        if np.any(slack < -tol_vec):
             return math.inf
-        z = max_det_capped(fl, d, offset=b)
-        return 0.5 * (log_syb - linalg.logdet_sym(z + b)) + float(rates.sum())
+        z = _max_det_capped(fl, d, b, np.clip(slack, 0.0, None))
+        return 0.5 * (log_syb - linalg.logdet_pd(z + b)) + float(rates.sum())
 
     upper = sum_rate_upper(mp, d, starts=min(int(starts), 4), seed=seed)
     base = upper.rates
@@ -331,8 +331,7 @@ def sum_rate_lower(mp: MultiterminalProblem, d_vec, starts: int = 16, seed: int 
     if best_r is None:
         raise InfeasibleDistortion("no feasible rate vector found for the caps")
     z = max_det_capped(floor_at(best_r), d, offset=b)
-    return SumRateResult(value=max(0.0, best_v), rates=best_r,
-                         cov=linalg.as_symmetric(z))
+    return SumRateResult(value=max(0.0, best_v), rates=best_r, cov=z)
 
 
 def sum_rate_bounds(mp: MultiterminalProblem, d_vec, starts: int = 16,
@@ -358,31 +357,31 @@ def _delta_form_lower(mp: MultiterminalProblem, d_vec, starts: int = 8, seed: in
     # floor = (diag(1/delta) - B^-1)^-1, and the rate penalty is
     # sum_l (1/2) log(split_l / delta_l) = sum_l u_l.
     d = _caps(mp, d_vec)
-    td = transform_data(mp)
-    b = td.offset
-    binv = linalg.inv_sym(b)
-    log_syb = linalg.logdet_sym(mp.sigma_y + b)
+    b = mp.offset
+    binv = linalg.inv_pd(b)
+    log_syb = mp.logdet_sigma_y_offset
     tol_vec = 1e-12 * np.maximum(1.0, np.abs(d))
 
     def floor_at(u):
         delta_inv = np.exp(2.0 * np.asarray(u, dtype=float)) / mp.split_sigma_n
-        return linalg.inv_sym(np.diag(delta_inv) - binv)
+        return linalg.inv_pd(np.diag(delta_inv) - binv)
 
     def feas(u):
         return bool(np.all(d - np.diag(floor_at(u)) >= -tol_vec))
 
     def f(u):
         fl = floor_at(u)
-        if np.any(d - np.diag(fl) < -tol_vec):
+        slack = d - np.diag(fl)
+        if np.any(slack < -tol_vec):
             return math.inf
-        z = max_det_capped(fl, d, offset=b)
-        return 0.5 * (log_syb - linalg.logdet_sym(z + b)) + float(np.sum(u))
+        z = _max_det_capped(fl, d, b, np.clip(slack, 0.0, None))
+        return 0.5 * (log_syb - linalg.logdet_pd(z + b)) + float(np.sum(u))
 
     base = sum_rate_upper(mp, d, starts=4, seed=seed).rates
     if not feas(base):
         base = base + 1e-7
     _, best_v = _multi_start(f, feas, base, mp.l, starts, seed, r_hi)
-    if best_v is math.inf:
+    if math.isinf(best_v):
         raise InfeasibleDistortion("no feasible noise levels found for the caps")
     return max(0.0, best_v)
 
@@ -392,7 +391,7 @@ def _delta_form_lower(mp: MultiterminalProblem, d_vec, starts: int = 8, seed: in
 
 
 def _trace_of(mp, gamma_eff, rates):
-    fl = linalg.inv_sym(mt_posterior_precision(mp, rates))
+    fl = linalg.inv_pd(mt_posterior_precision(mp, rates))
     return float(np.trace(gamma_eff @ fl @ gamma_eff.T))
 
 
@@ -468,18 +467,17 @@ def _lower_at_trace(mp, gamma_eff, d, starts, seed, r_hi, r_cap=12.0,
     # water-filled under the weighted-trace cap; +inf when unreachable.
     # ``hint`` seeds the descent (typically the achievable program's argmin,
     # where the two objectives coincide on an active trace constraint).
-    td = transform_data(mp)
-    b = td.offset
+    b = mp.offset
     budget = d + float(np.trace(gamma_eff @ b @ gamma_eff.T))
     tol = 1e-12 * max(1.0, abs(budget))
-    log_syb = linalg.logdet_sym(mp.sigma_y + b)
+    log_syb = mp.logdet_sigma_y_offset
     log_ge2 = 2.0 * np.linalg.slogdet(gamma_eff)[1]
     l = mp.l
 
     def floors_of(rates):
-        fl = linalg.inv_sym(mt_posterior_precision(mp, rates))
-        w = linalg.as_symmetric(gamma_eff @ (fl + b) @ gamma_eff.T)
-        return linalg.eig_sym(w).eigenvalues
+        fl = linalg.inv_pd(mt_posterior_precision(mp, rates))
+        w = gamma_eff @ (fl + b) @ gamma_eff.T
+        return np.linalg.eigvalsh(0.5 * (w + w.T))
 
     def feas(rates):
         return budget - float(floors_of(rates).sum()) >= -tol
@@ -508,9 +506,8 @@ def _lower_at_trace(mp, gamma_eff, d, starts, seed, r_hi, r_cap=12.0,
         base = np.full(l, t_eq)
     _, multi_v = _multi_start(f, feas, base, l, starts, seed, r_hi,
                               step_tol=step_tol, xtol=xtol)
-    if multi_v is not None and multi_v < best_v:
-        best_v = multi_v
-    return max(0.0, best_v) if best_v is not math.inf else math.inf
+    best_v = min(best_v, multi_v)
+    return math.inf if math.isinf(best_v) else max(0.0, best_v)
 
 
 def boundary_batch(mp: MultiterminalProblem, rate_budget, weight_grid,
@@ -574,8 +571,8 @@ def threshold_split(mp: MultiterminalProblem) -> float:
     Sigma_N``. The value may be nonpositive, in which case this split
     certifies nothing.
     """
-    td = transform_data(mp)
-    eigs = linalg.eig_sym(td.offset_weighted).eigenvalues
+    td = mp.transform
+    eigs = np.linalg.eigvalsh(td.offset_weighted)
     return float((mp.l + 1) * eigs[0] - td.offset_trace)
 
 
@@ -594,7 +591,7 @@ def threshold_weighted(sigma_y, gamma_weights) -> float:
         raise InvalidInput(f"expected {sy.shape[0]} weights, got {w.shape[0]}")
     if not np.all(np.isfinite(w)) or np.any(w < 1.0):
         raise InvalidWeights("weights must be finite and >= 1")
-    eigs = linalg.eig_sym(sy).eigenvalues
+    eigs = np.linalg.eigvalsh(sy)
     if eigs[0] <= 0.0:
         raise InvalidMatrix("sigma_y must be positive definite")
     l = sy.shape[0]
@@ -611,7 +608,7 @@ def zeta(sigma_y) -> float:
     """Universal certified-matching distortion level of an observation
     covariance: ``eta_min / (sqrt(L) + sqrt(L-1))^2``."""
     sy = linalg.as_symmetric(np.asarray(sigma_y, dtype=float))
-    eigs = linalg.eig_sym(sy).eigenvalues
+    eigs = np.linalg.eigvalsh(sy)
     if eigs[0] <= 0.0:
         raise InvalidMatrix("sigma_y must be positive definite")
     l = sy.shape[0]
@@ -676,13 +673,19 @@ def twoterm_curve_point(sigma1: float, sigma2: float, rho: float, d_l: float,
     return (r_capped, r_other) if which == 1 else (r_other, r_capped)
 
 
-def twoterm_region_curve(sigma1: float, sigma2: float, rho: float, d_l: float,
-                         which: int, s_samples: int,
-                         s_min: float = 1e-6) -> list[tuple[float, float]]:
-    """Sample the single-cap boundary curve at log-uniform s in [s_min, 1]."""
+def twoterm_curve_grid(s_samples: int, s_min: float = 1e-6) -> list[float]:
+    """The ``s_samples`` log-uniform curve parameters in [s_min, 1] at
+    which :func:`twoterm_region_curve` samples the boundary."""
     if s_samples < 2:
         raise InvalidInput("s_samples must be at least 2")
     if not (0.0 < s_min <= 1.0):
         raise InvalidInput("s_min must lie in (0, 1]")
-    grid = np.exp(np.linspace(math.log(s_min), 0.0, int(s_samples)))
-    return [twoterm_curve_point(sigma1, sigma2, rho, d_l, which, float(s)) for s in grid]
+    return np.exp(np.linspace(math.log(s_min), 0.0, int(s_samples))).tolist()
+
+
+def twoterm_region_curve(sigma1: float, sigma2: float, rho: float, d_l: float,
+                         which: int, s_samples: int,
+                         s_min: float = 1e-6) -> list[tuple[float, float]]:
+    """Sample the single-cap boundary curve at log-uniform s in [s_min, 1]."""
+    return [twoterm_curve_point(sigma1, sigma2, rho, d_l, which, s)
+            for s in twoterm_curve_grid(s_samples, s_min)]

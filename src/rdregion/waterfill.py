@@ -129,7 +129,14 @@ def max_det_capped(floor_mat, caps, offset=None) -> np.ndarray:
     tol_vec = 1e-12 * np.maximum(1.0, np.abs(c))
     if np.any(slack < -tol_vec):
         raise InfeasibleDistortion("per-coordinate caps fall below the floor diagonal")
-    slack = np.clip(slack, 0.0, None)
+    return _max_det_capped(f, c, g_off, np.clip(slack, 0.0, None))
+
+
+def _max_det_capped(f, c, g_off, slack) -> np.ndarray:
+    # Trusted core of max_det_capped: f and g_off exactly symmetric with the
+    # shape of f, c the caps, slack = c - diag(f) already checked against
+    # the cap tolerance and clipped at zero.
+    k = f.shape[0]
     z = f + np.diag(slack)
     if k == 1:
         return z
@@ -149,7 +156,8 @@ def max_det_capped(floor_mat, caps, offset=None) -> np.ndarray:
         if linalg.loewner_leq(f, z_int):
             return z_int
     l_fin, _ = _sphere_ascent(f + g_off, slack, np.diag(np.sqrt(slack)))
-    return linalg.as_symmetric(f + l_fin @ l_fin.T)
+    z = f + l_fin @ l_fin.T
+    return 0.5 * (z + z.T)
 
 
 def _sphere_ascent(base, slack, l0):
@@ -208,8 +216,9 @@ def _sphere_ascent(base, slack, l0):
 
 
 def _weighted_floor(p: RemoteProblem, rates) -> np.ndarray:
-    cov = linalg.inv_sym(posterior_precision(p, rates))
-    return linalg.as_symmetric(p.gamma @ cov @ p.gamma.T)
+    cov = linalg.inv_pd(posterior_precision(p, rates))
+    w = p.gamma @ cov @ p.gamma.T
+    return 0.5 * (w + w.T)
 
 
 def waterfill_det(p: RemoteProblem, criterion: DistortionCriterion, r) -> float:
@@ -224,17 +233,17 @@ def waterfill_det(p: RemoteProblem, criterion: DistortionCriterion, r) -> float:
     check_criterion(criterion, p.k)
     log_gamma2 = 2.0 * np.linalg.slogdet(p.gamma)[1]
     if isinstance(criterion, SumCrit):
-        floors = linalg.eig_sym(_weighted_floor(p, rates)).eigenvalues
+        floors = np.linalg.eigvalsh(_weighted_floor(p, rates))
         wl = water_level(floors, criterion.d)
         return float(math.exp(float(np.log(wl.levels).sum()) - log_gamma2))
     if isinstance(criterion, VectorCrit):
         z = max_det_capped(_weighted_floor(p, rates), criterion.d_vec)
-        return float(math.exp(linalg.logdet_sym(z) - log_gamma2))
+        return float(math.exp(linalg.logdet_pd(z) - log_gamma2))
     return _matrix_cap_det(p, criterion, rates)
 
 
 def _matrix_cap_det(p: RemoteProblem, criterion: MatrixCrit, rates) -> float:
-    cov = linalg.inv_sym(posterior_precision(p, rates))
+    cov = linalg.inv_pd(posterior_precision(p, rates))
     if not linalg.loewner_leq(cov, criterion.target):
         raise InfeasibleDistortion(
             "matrix distortion target does not dominate the floor at these rates"
@@ -266,7 +275,7 @@ def det_oracle(p: RemoteProblem, criterion: DistortionCriterion, r,
     check_criterion(criterion, p.k)
     log_gamma2 = 2.0 * np.linalg.slogdet(p.gamma)[1]
     if isinstance(criterion, SumCrit):
-        floors = linalg.eig_sym(_weighted_floor(p, rates)).eigenvalues
+        floors = np.linalg.eigvalsh(_weighted_floor(p, rates))
         total = float(floors.sum())
         if criterion.d < total:
             raise InfeasibleBudget(
@@ -359,6 +368,6 @@ def _dual_gap_capped(f, c, z, primal_log):
 def feasible_at_rates(p: RemoteProblem, criterion: DistortionCriterion, r) -> FeasibilityReport:
     """Whether the criterion is reachable at finite auxiliary rates r."""
     rates = as_rates(r, p.l)
-    cov = linalg.inv_sym(posterior_precision(p, rates))
+    cov = linalg.inv_pd(posterior_precision(p, rates))
     margin = criterion_margin(p, criterion, cov)
     return FeasibilityReport(feasible=margin > 0.0, margin=margin)

@@ -204,9 +204,12 @@ def test_06_two_source_closed_form():
     print(f"two-source closed form: worst gap {worst:.2e} (correlated), {worst_ind:.2e} (independent)")
 
 
-def test_07_two_encoder_bounds_close():
+def test_07_two_encoder_bounds_close(monkeypatch):
     """Converse and achievable sum rates agree within 1e-3 nats on 50
     two-encoder instances with caps inside the closed-form set."""
+    eig_calls = []
+    eig_sym = linalg.eig_sym
+    monkeypatch.setattr(linalg, "eig_sym", lambda m: eig_calls.append(1) or eig_sym(m))
     rng = np.random.default_rng(107)
     start = time.perf_counter()
     worst = 0.0
@@ -219,6 +222,8 @@ def test_07_two_encoder_bounds_close():
         assert gap <= 1e-3
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
+    # work guard beside the wall-clock bound: no eigendecomposition at all
+    assert eig_calls == []
     print(f"two-encoder bounds: 50 instances, worst gap {worst:.2e} nats in {elapsed:.1f}s")
 
 

@@ -125,6 +125,37 @@ class TestInverse:
         with pytest.raises(SingularInput):
             linalg.inv_sym(np.diag([1.0, 0.0]))
 
+    def test_rejects_indefinite(self):
+        # the contract is "symmetric positive definite"
+        with pytest.raises(SingularInput):
+            linalg.inv_sym(np.diag([1.0, -2.0]))
+
+    def test_result_exactly_symmetric(self):
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 6, 12):
+            inv = linalg.inv_sym(random_spd(rng, n))
+            assert np.array_equal(inv, inv.T)
+
+
+class TestPivotGuard:
+    NUMERICALLY_SINGULAR = [
+        np.diag([1.0, 1e-15]),
+        np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]),
+    ]
+
+    @pytest.mark.parametrize("fn", ["inv_sym", "logdet_sym", "inv_pd", "logdet_pd"])
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_numerically_singular_pd_rejected(self, fn, case):
+        with pytest.raises(SingularInput):
+            getattr(linalg, fn)(self.NUMERICALLY_SINGULAR[case])
+
+    def test_kernels_agree_with_validating_entries(self):
+        rng = np.random.default_rng(19)
+        for n in (1, 2, 5):
+            m = random_spd(rng, n)
+            assert np.array_equal(linalg.inv_pd(m), linalg.inv_sym(m))
+            assert linalg.logdet_pd(m) == linalg.logdet_sym(m)
+
 
 class TestLoewner:
     def test_ordering_holds(self):

@@ -282,3 +282,24 @@ class TestNativeMultiterminal:
         spec = regions.mt_region_inner(mp, [0.5, 0.5])
         assert spec.kind == "inner" and len(spec.bounds) == 3
         regions.check_co_polymatroid(spec)
+
+    def test_outer_region_inverts_constants_once(self, monkeypatch):
+        # B and Sigma_Y^-1 are cached on the problem: one inverse each for
+        # the whole L=6 enumeration, and one log-determinant per subset plus
+        # the two constant ones
+        from rdregion import linalg
+
+        rng = np.random.default_rng(74)
+        mp = random_mt(rng, 6)
+        calls = {name: 0 for name in ("inv_sym", "inv_pd", "logdet_sym", "logdet_pd")}
+        for name in calls:
+            fn = getattr(linalg, name)
+
+            def counted(m, name=name, fn=fn):
+                calls[name] += 1
+                return fn(m)
+
+            monkeypatch.setattr(linalg, name, counted)
+        spec = regions.mt_region_outer(mp, rng.uniform(0.1, 2.0, size=6), 0.05)
+        assert len(spec.bounds) == 63
+        assert calls == {"inv_sym": 0, "inv_pd": 2, "logdet_sym": 0, "logdet_pd": 63 + 2}

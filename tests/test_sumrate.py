@@ -160,6 +160,17 @@ class TestSumRateLower:
         dl = sumrate._delta_form_lower(mp, d, starts=3)
         assert np.isclose(lo.value, dl, atol=1e-9)
 
+    def test_no_eigendecomposition(self, monkeypatch):
+        # the converse search runs on Cholesky kernels and the cached
+        # problem constants; a spectrum is never needed at two sources
+        mp = correlated_pair(rho=0.6, t1=0.35, t2=0.3)
+        eig_calls = []
+        eig_sym = linalg.eig_sym
+        monkeypatch.setattr(linalg, "eig_sym", lambda m: eig_calls.append(1) or eig_sym(m))
+        lo = sumrate.sum_rate_lower(mp, [0.5, 0.45], starts=2, seed=0)
+        assert lo.value > 0.0
+        assert eig_calls == []
+
     def test_infeasible_caps(self):
         mp = correlated_pair()
         with pytest.raises(InfeasibleDistortion):
