@@ -12,7 +12,10 @@ matrix enters, trust it inside.
   its Cholesky factor: they raise SingularInput when the factorization
   fails or when ``min(diag L)^2 <= 1e-14 * max(diag L)^2``. Solver code
   calls them on the precisions, covariances and offsets it assembles, so
-  nothing is validated twice.
+  nothing is validated twice. ``logdet_pd`` also takes a stack of shape
+  (..., n, n) and returns one log-determinant per matrix; the pivot guard
+  then applies to every matrix of the stack, and each result has the same
+  bits it would have if that matrix were factored alone.
 
 Inverses and log-determinants of positive definite matrices come from the
 Cholesky factor; spectra come from LAPACK's symmetric eigensolver through
@@ -115,22 +118,37 @@ def det_sym(m) -> float:
 
 
 def _cholesky(a) -> np.ndarray:
-    # Lower Cholesky factor with a pivot guard; the negated comparison also
-    # rejects an infinite pivot.
+    # Lower Cholesky factor of a matrix or a stack, with a pivot guard on
+    # every matrix; the negated comparisons also reject an infinite pivot.
+    # A single matrix keeps the scalar guard, which costs half as much as
+    # the vector one at n=2.
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise SingularInput("matrix is not positive definite") from None
-    pivots = low.diagonal().tolist()
-    lo, hi = min(pivots), max(pivots)
-    if not lo * lo > 1e-14 * hi * hi:
-        raise SingularInput("matrix is singular or numerically singular")
+    if low.ndim == 2:
+        pivots = low.diagonal().tolist()
+        lo, hi = min(pivots), max(pivots)
+        if not lo * lo > 1e-14 * hi * hi:
+            raise SingularInput("matrix is singular or numerically singular")
+    else:
+        pivots = np.diagonal(low, axis1=-2, axis2=-1)
+        lo, hi = pivots.min(axis=-1), pivots.max(axis=-1)
+        if not np.all(lo * lo > 1e-14 * hi * hi):
+            raise SingularInput("a matrix of the stack is singular or numerically singular")
     return low
 
 
-def logdet_pd(a) -> float:
-    """Log-determinant of a trusted symmetric positive definite matrix."""
-    return 2.0 * float(np.log(_cholesky(a).diagonal()).sum())
+def logdet_pd(a):
+    """Log-determinant of a trusted symmetric positive definite matrix.
+
+    A float for one matrix; for a stack (..., n, n) an array of shape (...)
+    with one log-determinant per matrix.
+    """
+    low = _cholesky(a)
+    if low.ndim == 2:
+        return 2.0 * float(np.log(low.diagonal()).sum())
+    return 2.0 * np.log(np.diagonal(low, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def inv_pd(a) -> np.ndarray:

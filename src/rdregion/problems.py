@@ -84,8 +84,8 @@ class RemoteProblem:
         Invertible distortion weight; the reconstruction error is measured
         through ``gamma @ (x - xhat)``.
 
-    ``sigma_x_inv`` is computed on first use and cached; cached arrays are
-    read-only.
+    ``sigma_x_inv`` and ``logdet_gamma2`` are computed on first use and
+    cached; cached arrays are read-only.
     """
 
     sigma_x: np.ndarray
@@ -129,6 +129,11 @@ class RemoteProblem:
     @cached_property
     def sigma_x_inv(self) -> np.ndarray:
         return _read_only(linalg.inv_pd(self.sigma_x))
+
+    @cached_property
+    def logdet_gamma2(self) -> float:
+        """``2 log|det gamma|``, the log-determinant of ``gamma @ gamma.T``."""
+        return float(2.0 * np.linalg.slogdet(self.gamma)[1])
 
     @property
     def l(self) -> int:
@@ -355,11 +360,13 @@ def posterior_precision(p: RemoteProblem, r, keep=None) -> np.ndarray:
 
     ``keep`` is a boolean array over encoders; entries that are False
     contribute zero precision (used to realize subset-complement terms).
+    A ``keep`` of shape (S, L) holds one mask per row and gives the
+    (S, K, K) stack of masked precisions; the rates are validated once.
     """
     diag = noise_precision(p, r)
     if keep is not None:
         diag = np.where(np.asarray(keep, dtype=bool), diag, 0.0)
-    return p.sigma_x_inv + p.a_mat.T @ (p.a_mat * diag[:, None])
+    return p.sigma_x_inv + p.a_mat.T @ (p.a_mat * diag[..., None])
 
 
 def weighted_error_covariance(p: RemoteProblem) -> np.ndarray:
@@ -373,13 +380,18 @@ def mt_posterior_precision(mp: MultiterminalProblem, r, keep=None) -> np.ndarray
     Encoder l quantizes its own observation through a test channel whose
     noise precision is ``(exp(2 r_l) - 1) / split_sigma_n[l]``; it is
     exactly zero at ``r_l == 0``. ``keep`` masks encoders out as in
-    :func:`posterior_precision`.
+    :func:`posterior_precision`; a ``keep`` of shape (S, L) gives the
+    (S, L, L) stack.
     """
     rates = as_rates(r, mp.l)
     diag = np.expm1(2.0 * rates) / mp.split_sigma_n
     if keep is not None:
         diag = np.where(np.asarray(keep, dtype=bool), diag, 0.0)
-    return mp.sigma_y_inv + np.diag(diag)
+    # diagonal matrices of the rows of diag, written through a flat view
+    l = diag.shape[-1]
+    noise = np.zeros(diag.shape + (l,))
+    noise.reshape(-1, l * l)[:, :: l + 1] = diag
+    return mp.sigma_y_inv + noise
 
 
 def mt_offset(mp: MultiterminalProblem) -> np.ndarray:

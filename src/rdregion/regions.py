@@ -12,6 +12,12 @@ problem. Floors form a co-polymatroid (zero at the empty set, monotone,
 supermodular), so weighted sum-rate minimization is solved exactly by a
 greedy vertex walk.
 
+A region is one stacked evaluation: the precisions of all 2^L - 1 subset
+complements (and, for the inner floors, the full set as the first matrix
+of the same stack) go through one batched Cholesky factorization. A
+``rate_bound_*`` call is the one-mask case of the same computation and
+returns exactly the floor its region reports for that subset.
+
 Subsets are bitmasks: bit ``l-1`` set means encoder ``l`` belongs to S.
 """
 
@@ -156,6 +162,59 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
+def _all_members(l: int) -> np.ndarray:
+    # (2^l - 1, l) membership matrix, one row per subset in ``subsets`` order
+    masks = np.arange(1, 1 << l)
+    return ((masks[:, None] >> np.arange(l)) & 1).astype(bool)
+
+
+def _full_and_complements(members: np.ndarray) -> np.ndarray:
+    # keep masks: the full set first, then the complement of each row. With
+    # M(r) in the same stack as the complements, a silent subset (r_S == 0)
+    # has a complement precision equal to M(r) bit for bit, so its inner
+    # floor is exactly 0.0
+    return np.vstack([np.ones((1, members.shape[1]), dtype=bool), ~members])
+
+
+def _rate_sums(rates: np.ndarray, members: np.ndarray) -> np.ndarray:
+    # sum_{l in S} r_l per row, every row summed over all l in the same order
+    return np.where(members, rates, 0.0).sum(axis=1)
+
+
+def _inner_floors(p: RemoteProblem, rates, members) -> np.ndarray:
+    logdets = linalg.logdet_pd(
+        posterior_precision(p, rates, keep=_full_and_complements(members))
+    )
+    return 0.5 * (logdets[0] - logdets[1:]) + _rate_sums(rates, members)
+
+
+def _outer_floors(p: RemoteProblem, rates, members, theta: float) -> np.ndarray:
+    logdets = linalg.logdet_pd(posterior_precision(p, rates, keep=~members))
+    return np.maximum(0.0, _rate_sums(rates, members) - 0.5 * (math.log(theta) + logdets))
+
+
+def _mt_inner_floors(mp: MultiterminalProblem, rates, members) -> np.ndarray:
+    logdets = linalg.logdet_pd(
+        mt_posterior_precision(mp, rates, keep=_full_and_complements(members))
+    )
+    return 0.5 * (logdets[0] - logdets[1:])
+
+
+def _mt_outer_floors(mp: MultiterminalProblem, rates, members, theta_tilde: float) -> np.ndarray:
+    logdets = linalg.logdet_pd(mt_posterior_precision(mp, rates, keep=~members))
+    shared = (
+        mp.logdet_sigma_y_offset
+        + 2.0 * float(rates.sum())
+        - math.log(theta_tilde)
+        - mp.logdet_sigma_y
+    )
+    return np.maximum(0.0, 0.5 * (shared - logdets))
+
+
+def _region(l: int, kind: str, floors: np.ndarray) -> RegionSpec:
+    return RegionSpec(l=l, kind=kind, bounds=dict(zip(subsets(l), floors.tolist())))
+
+
 def rate_bound_inner(p: RemoteProblem, r, subset: int) -> float:
     """Achievable rate floor for a subset of encoders at auxiliary rates r.
 
@@ -165,10 +224,7 @@ def rate_bound_inner(p: RemoteProblem, r, subset: int) -> float:
     """
     rates = as_rates(r, p.l)
     members = _subset_members(subset, p.l)
-    m_full = posterior_precision(p, rates)
-    m_comp = posterior_precision(p, rates, keep=~members)
-    gap = 0.5 * (linalg.logdet_pd(m_full) - linalg.logdet_pd(m_comp))
-    return gap + float(rates[members].sum())
+    return float(_inner_floors(p, rates, members[None])[0])
 
 
 def rate_bound_outer(p: RemoteProblem, r, subset: int, theta: float) -> float:
@@ -181,11 +237,7 @@ def rate_bound_outer(p: RemoteProblem, r, subset: int, theta: float) -> float:
     rates = as_rates(r, p.l)
     theta = _check_theta(theta)
     members = _subset_members(subset, p.l)
-    m_comp = posterior_precision(p, rates, keep=~members)
-    val = float(rates[members].sum()) - 0.5 * (
-        math.log(theta) + linalg.logdet_pd(m_comp)
-    )
-    return max(0.0, val)
+    return float(_outer_floors(p, rates, members[None], theta)[0])
 
 
 def _check_enum(l: int) -> None:
@@ -199,15 +251,16 @@ def _check_enum(l: int) -> None:
 def region_inner(p: RemoteProblem, r) -> RegionSpec:
     """Inner region of a remote problem at auxiliary rates r."""
     _check_enum(p.l)
-    bounds = {m: rate_bound_inner(p, r, m) for m in subsets(p.l)}
-    return RegionSpec(l=p.l, kind="inner", bounds=bounds)
+    rates = as_rates(r, p.l)
+    return _region(p.l, "inner", _inner_floors(p, rates, _all_members(p.l)))
 
 
 def region_outer(p: RemoteProblem, r, theta: float) -> RegionSpec:
     """Outer region of a remote problem at auxiliary rates r and level theta."""
     _check_enum(p.l)
-    bounds = {m: rate_bound_outer(p, r, m, theta) for m in subsets(p.l)}
-    return RegionSpec(l=p.l, kind="outer", bounds=bounds)
+    rates = as_rates(r, p.l)
+    theta = _check_theta(theta)
+    return _region(p.l, "outer", _outer_floors(p, rates, _all_members(p.l), theta))
 
 
 def mt_rate_bound_inner(mp: MultiterminalProblem, r, subset: int) -> float:
@@ -218,9 +271,7 @@ def mt_rate_bound_inner(mp: MultiterminalProblem, r, subset: int) -> float:
     """
     rates = as_rates(r, mp.l)
     members = _subset_members(subset, mp.l)
-    full = mt_posterior_precision(mp, rates)
-    comp = mt_posterior_precision(mp, rates, keep=~members)
-    return 0.5 * (linalg.logdet_pd(full) - linalg.logdet_pd(comp))
+    return float(_mt_inner_floors(mp, rates, members[None])[0])
 
 
 def mt_rate_bound_outer(mp: MultiterminalProblem, r, subset: int, theta_tilde: float) -> float:
@@ -237,29 +288,22 @@ def mt_rate_bound_outer(mp: MultiterminalProblem, r, subset: int, theta_tilde: f
     rates = as_rates(r, mp.l)
     theta_tilde = _check_theta(theta_tilde)
     members = _subset_members(subset, mp.l)
-    comp = mt_posterior_precision(mp, rates, keep=~members)
-    val = 0.5 * (
-        mp.logdet_sigma_y_offset
-        + 2.0 * float(rates.sum())
-        - math.log(theta_tilde)
-        - mp.logdet_sigma_y
-        - linalg.logdet_pd(comp)
-    )
-    return max(0.0, val)
+    return float(_mt_outer_floors(mp, rates, members[None], theta_tilde)[0])
 
 
 def mt_region_inner(mp: MultiterminalProblem, r) -> RegionSpec:
     """Native inner region of a multiterminal problem at auxiliary rates r."""
     _check_enum(mp.l)
-    bounds = {m: mt_rate_bound_inner(mp, r, m) for m in subsets(mp.l)}
-    return RegionSpec(l=mp.l, kind="inner", bounds=bounds)
+    rates = as_rates(r, mp.l)
+    return _region(mp.l, "inner", _mt_inner_floors(mp, rates, _all_members(mp.l)))
 
 
 def mt_region_outer(mp: MultiterminalProblem, r, theta_tilde: float) -> RegionSpec:
     """Native outer region of a multiterminal problem at rates r."""
     _check_enum(mp.l)
-    bounds = {m: mt_rate_bound_outer(mp, r, m, theta_tilde) for m in subsets(mp.l)}
-    return RegionSpec(l=mp.l, kind="outer", bounds=bounds)
+    rates = as_rates(r, mp.l)
+    theta_tilde = _check_theta(theta_tilde)
+    return _region(mp.l, "outer", _mt_outer_floors(mp, rates, _all_members(mp.l), theta_tilde))
 
 
 def check_co_polymatroid(region: RegionSpec, tol: float = 1e-9) -> None:

@@ -231,14 +231,19 @@ def waterfill_det(p: RemoteProblem, criterion: DistortionCriterion, r) -> float:
     """
     rates = as_rates(r, p.l)
     check_criterion(criterion, p.k)
-    log_gamma2 = 2.0 * np.linalg.slogdet(p.gamma)[1]
+    return _waterfill_det(p, criterion, rates)
+
+
+def _waterfill_det(p: RemoteProblem, criterion: DistortionCriterion, rates) -> float:
+    # Trusted core of waterfill_det: rates already validated and the
+    # criterion already checked against p.k.
     if isinstance(criterion, SumCrit):
         floors = np.linalg.eigvalsh(_weighted_floor(p, rates))
         wl = water_level(floors, criterion.d)
-        return float(math.exp(float(np.log(wl.levels).sum()) - log_gamma2))
+        return float(math.exp(float(np.log(wl.levels).sum()) - p.logdet_gamma2))
     if isinstance(criterion, VectorCrit):
         z = max_det_capped(_weighted_floor(p, rates), criterion.d_vec)
-        return float(math.exp(linalg.logdet_pd(z) - log_gamma2))
+        return float(math.exp(linalg.logdet_pd(z) - p.logdet_gamma2))
     return _matrix_cap_det(p, criterion, rates)
 
 
@@ -273,7 +278,6 @@ def det_oracle(p: RemoteProblem, criterion: DistortionCriterion, r,
         raise InvalidInput("det_oracle needs at least two grid points")
     rates = as_rates(r, p.l)
     check_criterion(criterion, p.k)
-    log_gamma2 = 2.0 * np.linalg.slogdet(p.gamma)[1]
     if isinstance(criterion, SumCrit):
         floors = np.linalg.eigvalsh(_weighted_floor(p, rates))
         total = float(floors.sum())
@@ -285,7 +289,7 @@ def det_oracle(p: RemoteProblem, criterion: DistortionCriterion, r,
         grid = np.linspace(floors.min(), criterion.d / floors.shape[0], steps)
         filled = np.maximum(grid[:, None], floors[None, :])
         spend = filled.sum(axis=1)
-        vals = np.exp(np.log(filled).sum(axis=1) - log_gamma2)
+        vals = np.exp(np.log(filled).sum(axis=1) - p.logdet_gamma2)
         feas = spend <= criterion.d + 1e-12 * max(1.0, criterion.d)
         last = int(np.nonzero(feas)[0][-1])
         if last == steps - 1:
@@ -296,7 +300,7 @@ def det_oracle(p: RemoteProblem, criterion: DistortionCriterion, r,
     if isinstance(criterion, VectorCrit):
         f_mat = _weighted_floor(p, rates)
         best_log, gap = _ascend_det_capped(f_mat, criterion.d_vec, starts, seed)
-        value = float(math.exp(best_log - log_gamma2))
+        value = float(math.exp(best_log - p.logdet_gamma2))
         return OracleBracket(value=value, err=float(value * np.expm1(gap)))
     return OracleBracket(value=_matrix_cap_det(p, criterion, rates), err=0.0)
 

@@ -157,6 +157,27 @@ class TestPivotGuard:
             assert linalg.logdet_pd(m) == linalg.logdet_sym(m)
 
 
+class TestStackedLogdet:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+    def test_stack_matches_per_matrix_bitwise(self, n):
+        rng = np.random.default_rng(23 + n)
+        stack = np.array([random_spd(rng, n) for _ in range(40)])
+        got = linalg.logdet_pd(stack)
+        assert got.shape == (40,)
+        assert got.tolist() == [linalg.logdet_pd(a) for a in stack]
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_pivot_guard_applies_to_every_member(self, case):
+        rng = np.random.default_rng(29)
+        stack = np.array([random_spd(rng, 2) for _ in range(5)])
+        stack[3] = TestPivotGuard.NUMERICALLY_SINGULAR[case]
+        with pytest.raises(SingularInput):
+            linalg.logdet_pd(stack)
+
+    def test_single_matrix_gives_python_float(self):
+        assert type(linalg.logdet_pd(np.diag([2.0, 3.0]))) is float
+
+
 class TestLoewner:
     def test_ordering_holds(self):
         a = np.eye(2)

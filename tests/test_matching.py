@@ -3,7 +3,7 @@ import pytest
 
 from rdregion import matching
 from rdregion.errors import DegenerateInput, InvalidInput
-from rdregion.problems import RemoteProblem, SumCrit
+from rdregion.problems import RemoteProblem, SumCrit, VectorCrit
 
 
 def scalar_problem():
@@ -193,3 +193,23 @@ class TestMdScan:
         )
         with pytest.raises(InvalidInput):
             matching.md_scan(p, SumCrit(0.9), points=6)
+
+    def test_checks_the_criterion_once(self, monkeypatch):
+        # the criterion is fixed for the whole scan, so it is checked at
+        # entry and not again at each of the 6^3 grid points
+        from rdregion import problems, waterfill
+
+        calls = []
+        check = problems.check_criterion
+
+        def counted(criterion, dim):
+            calls.append(dim)
+            return check(criterion, dim)
+
+        for mod in (problems, waterfill, matching):
+            monkeypatch.setattr(mod, "check_criterion", counted, raising=False)
+        p = random_remote(np.random.default_rng(17), 2, 3)
+        matching.md_scan(p, SumCrit(2.0), points=6)
+        assert len(calls) == 1
+        with pytest.raises(InvalidInput):
+            matching.md_scan(p, VectorCrit([1.0, 1.0, 1.0]), points=2)

@@ -285,8 +285,8 @@ class TestNativeMultiterminal:
 
     def test_outer_region_inverts_constants_once(self, monkeypatch):
         # B and Sigma_Y^-1 are cached on the problem: one inverse each for
-        # the whole L=6 enumeration, and one log-determinant per subset plus
-        # the two constant ones
+        # the whole L=6 enumeration, one stacked log-determinant call for all
+        # 63 subsets plus the two constant ones
         from rdregion import linalg
 
         rng = np.random.default_rng(74)
@@ -302,4 +302,70 @@ class TestNativeMultiterminal:
             monkeypatch.setattr(linalg, name, counted)
         spec = regions.mt_region_outer(mp, rng.uniform(0.1, 2.0, size=6), 0.05)
         assert len(spec.bounds) == 63
-        assert calls == {"inv_sym": 0, "inv_pd": 2, "logdet_sym": 0, "logdet_pd": 63 + 2}
+        assert calls == {"inv_sym": 0, "inv_pd": 2, "logdet_sym": 0, "logdet_pd": 1 + 2}
+
+
+class TestOnePath:
+    # a rate_bound_* call is the one-mask case of its region's stacked
+    # evaluation, so the two agree to the last bit
+    def test_remote_bounds_equal_region_floors(self):
+        rng = np.random.default_rng(80)
+        for _ in range(12):
+            k, l = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+            p = random_remote(rng, k, l)
+            r = rng.uniform(0.0, 2.0, size=l)
+            r[rng.random(l) < 0.3] = 0.0
+            theta = float(rng.uniform(0.01, 3.0))
+            inner = regions.region_inner(p, r).bounds
+            outer = regions.region_outer(p, r, theta).bounds
+            for m in regions.subsets(l):
+                assert regions.rate_bound_inner(p, r, m) == inner[m]
+                assert regions.rate_bound_outer(p, r, m, theta) == outer[m]
+
+    def test_mt_bounds_equal_region_floors(self):
+        rng = np.random.default_rng(81)
+        for _ in range(12):
+            l = int(rng.integers(1, 7))
+            mp = random_mt(rng, l)
+            r = rng.uniform(0.0, 2.0, size=l)
+            r[rng.random(l) < 0.3] = 0.0
+            theta = float(rng.uniform(0.001, 0.5))
+            inner = regions.mt_region_inner(mp, r).bounds
+            outer = regions.mt_region_outer(mp, r, theta).bounds
+            for m in regions.subsets(l):
+                assert regions.mt_rate_bound_inner(mp, r, m) == inner[m]
+                assert regions.mt_rate_bound_outer(mp, r, m, theta) == outer[m]
+
+    def test_silent_subsets_exactly_zero_at_l10(self):
+        # encoders 2, 5, 6 and 9 are silent; every nonempty subset of them
+        # has a zero floor
+        rng = np.random.default_rng(82)
+        r = rng.uniform(0.1, 2.0, size=10)
+        r[[1, 4, 5, 8]] = 0.0
+        silent = 0b0100110010
+        quiet = [m for m in regions.subsets(10) if m & silent == m]
+        inner = regions.region_inner(random_remote(rng, 3, 10), r).bounds
+        mt_inner = regions.mt_region_inner(random_mt(rng, 10), r).bounds
+        assert len(quiet) == 15
+        for m in quiet:
+            assert inner[m] == 0.0
+            assert mt_inner[m] == 0.0
+
+    @pytest.mark.parametrize("builder", ["region_inner", "region_outer", "mt_region_inner"])
+    def test_one_logdet_call_per_region(self, builder, monkeypatch):
+        # all 255 subsets of an L=8 region share one stacked factorization
+        from rdregion import linalg
+
+        rng = np.random.default_rng(83)
+        r = rng.uniform(0.1, 2.0, size=8)
+        calls = []
+        logdet_pd = linalg.logdet_pd
+        monkeypatch.setattr(linalg, "logdet_pd", lambda a: calls.append(1) or logdet_pd(a))
+        if builder == "region_inner":
+            spec = regions.region_inner(random_remote(rng, 3, 8), r)
+        elif builder == "region_outer":
+            spec = regions.region_outer(random_remote(rng, 3, 8), r, 0.5)
+        else:
+            spec = regions.mt_region_inner(random_mt(rng, 8), r)
+        assert len(spec.bounds) == 255
+        assert len(calls) == 1
