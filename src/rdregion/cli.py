@@ -322,7 +322,7 @@ def cmd_match(args) -> int:
             "k": problem.k,
             "l": problem.l,
             "thresholds": {
-                "rotation": matching.threshold_rotation(problem, samples=args.samples, seed=args.seed),
+                "rotation": matching.threshold_rotation(problem),
                 "simplified": matching.threshold_simplified(problem),
                 "noise": matching.threshold_noise(problem),
             },
@@ -338,7 +338,7 @@ def cmd_match(args) -> int:
                 "split": sumrate.threshold_split(problem),
                 "weighted_unit": sumrate.threshold_weighted(problem.sigma_y, np.ones(problem.l)),
                 "universal": sumrate.zeta(problem.sigma_y),
-                "rotation": matching.threshold_rotation(dual, samples=args.samples, seed=args.seed),
+                "rotation": matching.threshold_rotation(dual),
                 "simplified": matching.threshold_simplified(dual),
                 "noise": matching.threshold_noise(dual),
             },
@@ -504,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d-sum", type=float, help="total distortion at which to run the scan")
     sp.add_argument("--r-max", type=float, default=8.0, help="scan grid extent per axis (default 8)")
     sp.add_argument("--points", type=int, default=6, help="scan grid points per axis (default 6)")
-    sp.add_argument("--samples", type=int, default=64, help="rotation samples for the full threshold (default 64)")
     sp.set_defaults(func=cmd_match)
 
     sp = sub.add_parser("waterfill", parents=[common], help="constrained determinant level at fixed rates")

@@ -12,10 +12,10 @@ matrix enters, trust it inside.
   its Cholesky factor: they raise SingularInput when the factorization
   fails or when ``min(diag L)^2 <= 1e-14 * max(diag L)^2``. Solver code
   calls them on the precisions, covariances and offsets it assembles, so
-  nothing is validated twice. ``logdet_pd`` also takes a stack of shape
-  (..., n, n) and returns one log-determinant per matrix; the pivot guard
+  nothing is validated twice. Both also take a stack of shape (..., n, n)
+  and return one inverse or log-determinant per matrix; the pivot guard
   then applies to every matrix of the stack, and each result has the same
-  bits it would have if that matrix were factored alone.
+  bits it would have if that matrix were processed alone.
 
 Inverses and log-determinants of positive definite matrices come from the
 Cholesky factor; spectra come from LAPACK's symmetric eigensolver through
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimMismatch, InvalidMatrix, SingularInput
+from .errors import DimMismatch, InvalidMatrix, SingularInput
 
 __all__ = [
     "Spectrum",
@@ -52,7 +52,6 @@ __all__ = [
     "inv_pd",
     "min_eig",
     "loewner_leq",
-    "householder_to_axis",
 ]
 
 
@@ -153,7 +152,7 @@ def logdet_pd(a):
 
 def inv_pd(a) -> np.ndarray:
     """Exactly symmetric inverse of a trusted symmetric positive definite
-    matrix.
+    matrix, or of each matrix of a stack (..., n, n).
 
     The Cholesky factor certifies definiteness and conditioning; the
     inverse itself is LAPACK's LU inverse, which keeps exact results exact
@@ -161,7 +160,7 @@ def inv_pd(a) -> np.ndarray:
     """
     _cholesky(a)
     inv = np.linalg.inv(a)
-    return 0.5 * (inv + inv.T)
+    return 0.5 * (inv + inv.swapaxes(-1, -2))
 
 
 def logdet_sym(m) -> float:
@@ -194,24 +193,3 @@ def loewner_leq(a, b, tol: float | None = None) -> bool:
         tol = 1e-9 * max(1.0, float(np.max(np.abs(diff))) if diff.size else 0.0)
     return float(np.linalg.eigvalsh(diff)[0]) >= -tol
 
-
-def householder_to_axis(v, k: int) -> np.ndarray:
-    """Orthogonal matrix T with (v @ T) = ||v|| e_k (zero-based axis k).
-
-    The returned matrix is the canonical Householder reflection; T.T @ T is
-    the identity to machine precision.
-    """
-    vec = np.asarray(v, dtype=float).ravel()
-    n = vec.shape[0]
-    if not 0 <= k < n:
-        raise DegenerateInput(f"axis {k} out of range for length {n}")
-    nrm = float(np.linalg.norm(vec))
-    if not np.isfinite(nrm) or nrm <= 0.0:
-        raise DegenerateInput("cannot aim a zero or non-finite vector at an axis")
-    u = vec.copy()
-    u[k] -= nrm
-    uu = float(u @ u)
-    if uu <= (1e-15 * nrm) ** 2:
-        return np.eye(n)
-    h = np.eye(n) - (2.0 / uu) * np.outer(u, u)
-    return h

@@ -7,29 +7,32 @@ is guaranteed, plus a direct grid scan that checks it numerically.
 
 All thresholds are stated for the sum distortion criterion and grow out
 of the spectrum of the weighted limiting precision
-``W* = Gamma^-T (Sigma_X^-1 + A^T Sigma_N^-1 A) Gamma^-1``.
+``W* = Gamma^-T (Sigma_X^-1 + A^T Sigma_N^-1 A) Gamma^-1``. Each is a
+closed form and exact for every number K of source coordinates; the
+rotation threshold needs one eigenvalue solve of W* and one mat-vec per
+observation row. The scan evaluates a sum criterion on stacked blocks of
+its grid, not point by point.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import DegenerateInput, InfeasibleBudget, InfeasibleDistortion, InvalidInput
 from .problems import (
     DistortionCriterion,
     RemoteProblem,
+    SumCrit,
     as_rates,
     check_criterion,
     posterior_precision,
 )
-# md_scan calls the trusted core; waterfill_det stays bound here because the
+# md_scan calls the trusted cores; waterfill_det stays bound here because the
 # benchmark's tracer test reaches the public entry as matching.waterfill_det
-from .waterfill import _waterfill_det, waterfill_det  # noqa: F401
+from .waterfill import _sum_levels, _waterfill_det, waterfill_det  # noqa: F401
 
 __all__ = [
     "MdReport",
@@ -73,69 +76,51 @@ def limit_spectrum(p: RemoteProblem) -> np.ndarray:
     return np.linalg.eigvalsh(_limit_weighted(p))
 
 
-def _haar_fixing_axis(rng, k: int, axis: int) -> np.ndarray:
-    # random orthogonal transform of the complement of one coordinate
-    q, rmat = np.linalg.qr(rng.normal(size=(k - 1, k - 1)))
-    q = q * np.sign(np.diag(rmat))
-    out = np.eye(k)
-    rest = [i for i in range(k) if i != axis]
-    out[np.ix_(rest, rest)] = q
-    return out
+def _rotation_bounds(p: RemoteProblem, rows: np.ndarray):
+    # a_max and the alignment functional of each weighted row. Every T
+    # aligning the row with an axis k maps that axis to u = row / |row|, so
+    # C_kk = u^T W* u and c is W* u less its component along u, whatever k
+    # and whatever T does on the complement of k.
+    w_star = _limit_weighted(p)
+    a_max = np.linalg.eigvalsh(w_star)[-1]
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    if np.any(norms <= 0.0):
+        raise DegenerateInput("observation row vanishes in weighted coordinates")
+    u = rows / norms[:, None]
+    wu = u @ w_star
+    chi = np.einsum("ij,ij->i", u, wu)
+    off = wu - chi[:, None] * u
+    norm2 = np.einsum("ij,ij->i", off, off)
+    return a_max, (1.0 + norm2 / a_max**2) / (chi - norm2 / a_max)
 
 
-def rotation_bound(p: RemoteProblem, row: int, samples: int = 64, seed: int = 0) -> float:
+def rotation_bound(p: RemoteProblem, row: int) -> float:
     """Per-encoder alignment functional entering the rotation threshold.
 
-    For observation row ``row`` (0-based), maximizes over the target axis k
-    and over orthogonal transforms T aligning the weighted row with axis k::
+    For observation row ``row`` (0-based), the value over a target axis k
+    and an orthogonal transform T aligning the weighted row with axis k::
 
         (1 + |c|^2 / a_max^2) / (C_kk - |c|^2 / a_max)
 
     where ``C = T^T W* T``, ``c`` is row k of C without its diagonal entry,
-    and ``a_max`` is the top eigenvalue of W*. Transforms sharing the
-    alignment differ by an orthogonal map of the complement of axis k; for
-    up to two source coordinates that freedom is a sign flip and the value
-    returned is exact, otherwise the complement is sampled (seeded) and the
-    value is a certified lower estimate.
+    and ``a_max`` is the top eigenvalue of W*. Every such T sends axis k to
+    the unit row ``u``, so ``C_kk = u^T W* u`` and
+    ``|c|^2 = |W* u|^2 - (u^T W* u)^2`` for every k and T: the value is
+    exact for every K, from one mat-vec.
     """
     if not 0 <= row < p.l:
         raise InvalidInput(f"row must be in [0, {p.l})")
-    w_star = _limit_weighted(p)
-    a_max = np.linalg.eigvalsh(w_star)[-1]
-    a_hat = weighted_rows(p)[row]
-    if float(np.linalg.norm(a_hat)) <= 0.0:
-        raise DegenerateInput("observation row vanishes in weighted coordinates")
-    k = p.k
-    rng = np.random.default_rng(seed)
-    best = -math.inf
-    for axis in range(k):
-        base = linalg.householder_to_axis(a_hat, axis)
-        if k <= 2:
-            candidates = [base]
-        else:
-            candidates = [base] + [
-                base @ _haar_fixing_axis(rng, k, axis) for _ in range(samples)
-            ]
-        for t in candidates:
-            c_mat = t.T @ w_star @ t
-            chi = c_mat[axis, axis]
-            off = np.delete(c_mat[axis], axis)
-            norm2 = float(off @ off)
-            val = (1.0 + norm2 / a_max**2) / (chi - norm2 / a_max)
-            if val > best:
-                best = val
-    return best
+    return float(_rotation_bounds(p, weighted_rows(p)[row : row + 1])[1][0])
 
 
-def threshold_rotation(p: RemoteProblem, samples: int = 64, seed: int = 0) -> float:
+def threshold_rotation(p: RemoteProblem) -> float:
     """Sum-distortion threshold from the alignment functionals.
 
-    Matching holds for budgets up to ``K / a_max + min_l rotation_bound(l)``.
-    Exact for K <= 2; a certified lower estimate otherwise.
+    Matching holds for budgets up to ``K / a_max + min_l rotation_bound(l)``;
+    the value is exact for every K.
     """
-    a_max = limit_spectrum(p)[-1]
-    best = min(rotation_bound(p, row, samples=samples, seed=seed) for row in range(p.l))
-    return p.k / a_max + best
+    a_max, bounds = _rotation_bounds(p, weighted_rows(p))
+    return p.k / a_max + float(bounds.min())
 
 
 def threshold_simplified(p: RemoteProblem) -> float:
@@ -185,36 +170,45 @@ def md_scan(
     Evaluates the level on a uniform grid over ``[0, r_max]^L`` (skipping
     rate vectors where the criterion is infeasible) and compares every
     feasible pair of axis neighbors. When the report holds, the inner and
-    outer regions built from these levels agree on the grid.
+    outer regions built from these levels agree on the grid. ``r_max``
+    must be positive and finite. Sum criteria are evaluated on stacked
+    blocks of up to 4096 grid points (one block up to 6^4 points); other
+    criteria point by point.
     """
+    r_max = float(r_max)
+    if not (math.isfinite(r_max) and r_max > 0.0):
+        raise InvalidInput("r_max must be positive and finite")
     if points < 2:
         raise InvalidInput("md_scan needs at least two grid points per axis")
     if points**p.l > 100_000:
         raise InvalidInput("grid too large; reduce points or the number of encoders")
     check_criterion(criterion, p.k)
-    axes = np.linspace(0.0, float(r_max), points)
-    values = {}
-    for idx in itertools.product(range(points), repeat=p.l):
-        # grid rates are finite and nonnegative by construction
-        r = axes[list(idx)]
-        try:
-            values[idx] = _waterfill_det(p, criterion, r)
-        except (InfeasibleBudget, InfeasibleDistortion):
-            values[idx] = None
+    axes = np.linspace(0.0, r_max, points)
+    shape = (points,) * p.l
+    # grid rates are finite and nonnegative by construction; rows run in
+    # row-major order, so the levels reshape to one array axis per encoder
+    grid = axes[np.indices(shape).reshape(p.l, -1).T]
+    if isinstance(criterion, SumCrit):
+        # blocks of at most 4096 points keep each (S, K, K) stack within
+        # 5 MB at K=12, however large the grid
+        blocks = np.array_split(grid, -(-grid.shape[0] // 4096))
+        theta = np.concatenate([_sum_levels(p, criterion.d, b)[0] for b in blocks])
+    else:
+        theta = np.full(grid.shape[0], np.nan)
+        for i, r in enumerate(grid):
+            try:
+                theta[i] = _waterfill_det(p, criterion, r)
+            except (InfeasibleBudget, InfeasibleDistortion):
+                pass
+    theta = theta.reshape(shape)
+    scale = np.exp(-2.0 * axes).reshape((-1,) + (1,) * (p.l - 1))
     worst = 0.0
     pairs = 0
-    for idx, th in values.items():
-        if th is None:
-            continue
-        for l in range(p.l):
-            if idx[l] + 1 >= points:
-                continue
-            nxt = idx[:l] + (idx[l] + 1,) + idx[l + 1 :]
-            th2 = values[nxt]
-            if th2 is None:
-                continue
-            v1 = math.exp(-2.0 * axes[idx[l]]) * th
-            v2 = math.exp(-2.0 * axes[idx[l] + 1]) * th2
-            worst = max(worst, (v2 - v1) / max(v1, 1e-300))
-            pairs += 1
+    for l in range(p.l):
+        v = np.moveaxis(theta, l, 0) * scale
+        lo, hi = v[:-1], v[1:]
+        both = ~(np.isnan(lo) | np.isnan(hi))
+        rel = (hi - lo) / np.maximum(lo, 1e-300)
+        worst = max(worst, float(np.max(rel, where=both, initial=0.0)))
+        pairs += int(both.sum())
     return MdReport(holds=worst <= tol, worst=worst, pairs=pairs)

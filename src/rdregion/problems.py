@@ -351,7 +351,11 @@ def noise_precision(p: RemoteProblem, r) -> np.ndarray:
     Entry l is ``(1 - exp(-2 r_l)) / noise_vars[l]``; it is exactly zero at
     ``r_l == 0`` so a silent encoder drops out of every downstream formula.
     """
-    rates = as_rates(r, p.l)
+    return _noise_precision(p, as_rates(r, p.l))
+
+
+def _noise_precision(p: RemoteProblem, rates) -> np.ndarray:
+    # trusted core of noise_precision; rates of shape (L,) or (S, L)
     return -np.expm1(-2.0 * rates) / p.noise_vars
 
 
@@ -363,7 +367,13 @@ def posterior_precision(p: RemoteProblem, r, keep=None) -> np.ndarray:
     A ``keep`` of shape (S, L) holds one mask per row and gives the
     (S, K, K) stack of masked precisions; the rates are validated once.
     """
-    diag = noise_precision(p, r)
+    return _posterior_precision(p, as_rates(r, p.l), keep)
+
+
+def _posterior_precision(p: RemoteProblem, rates, keep=None) -> np.ndarray:
+    # Trusted core of posterior_precision: rates already validated, either
+    # one vector (L,) or a stack (S, L) that gives the (S, K, K) stack.
+    diag = _noise_precision(p, rates)
     if keep is not None:
         diag = np.where(np.asarray(keep, dtype=bool), diag, 0.0)
     return p.sigma_x_inv + p.a_mat.T @ (p.a_mat * diag[..., None])

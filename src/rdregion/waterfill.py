@@ -25,6 +25,7 @@ from .problems import (
     RemoteProblem,
     SumCrit,
     VectorCrit,
+    _posterior_precision,
     as_rates,
     check_criterion,
     criterion_margin,
@@ -65,9 +66,11 @@ class OracleBracket:
 def water_level(floors, budget: float) -> WaterLevel:
     """Fill positive floors up to a common level that spends the budget.
 
-    Finds xi with ``sum(max(xi, floor_k)) == budget`` by an exact scan of
-    the sorted breakpoints. Requires ``budget >= sum(floors)``; at equality
-    the level is the smallest floor and nothing is raised above its floor.
+    Finds xi with ``sum(max(xi, floor_k)) == budget`` by the exact
+    breakpoint rule of :func:`_water_levels`, as the one-row case of the
+    (S, K) floor stacks that :func:`rdregion.matching.md_scan` fills.
+    Requires ``budget >= sum(floors)``; at equality the level is the
+    smallest floor and nothing is raised above its floor.
     """
     c = np.asarray(floors, dtype=float).ravel()
     if c.size == 0:
@@ -77,28 +80,32 @@ def water_level(floors, budget: float) -> WaterLevel:
     budget = float(budget)
     if not math.isfinite(budget):
         raise InvalidInput("budget must be finite")
-    total = float(c.sum())
+    _require_budget(budget, float(c.sum()))
+    xi = float(_water_levels(c[None, :], budget)[0])
+    return WaterLevel(xi=xi, levels=np.maximum(c, xi))
+
+
+def _require_budget(budget: float, total: float) -> None:
     if budget < total:
         raise InfeasibleBudget(
-            f"budget {budget} is below the floor total {total}",
-            deficit=total - budget,
+            f"budget {budget} is below the floor total {total}", deficit=total - budget
         )
-    s = np.sort(c)
-    k = s.shape[0]
-    # suffix sums: tail[j] = sum of floors strictly above the j-th breakpoint
-    tail = np.concatenate([np.cumsum(s[::-1])[::-1], [0.0]])
-    best_xi, best_viol = None, math.inf
-    for j in range(1, k + 1):
-        xi = (budget - tail[j]) / j
-        lo = s[j - 1]
-        hi = s[j] if j < k else math.inf
-        viol = max(lo - xi, xi - hi, 0.0)
-        if viol <= 1e-12 * max(1.0, abs(xi)):
-            best_xi = xi
-            break
-        if viol < best_viol:
-            best_xi, best_viol = xi, viol
-    return WaterLevel(xi=float(best_xi), levels=np.maximum(c, best_xi))
+
+
+def _water_levels(floors, budget: float) -> np.ndarray:
+    # Water level of each row of an (S, K) stack of positive floors. With s
+    # a row sorted ascending and tail[j] = sum(s[j:]) (accumulated from the
+    # right into a reversed view; tail[k] = 0), the level s[j-1] costs
+    # j*s[j-1] + tail[j], which grows with j; the level lies on segment j,
+    # the count of breakpoints that fit the budget, at (budget - tail[j]) / j.
+    # The clamp to j >= 1 covers a total equal to the budget up to rounding;
+    # rows above the budget get no valid level.
+    s = np.sort(floors, axis=-1)
+    n, k = s.shape
+    tail = np.zeros((n, k + 1))
+    np.cumsum(s[:, ::-1], axis=1, out=tail[:, k - 1 :: -1])
+    seg = np.maximum(((np.arange(1, k + 1) * s + tail[:, 1:]) <= budget).sum(axis=1), 1)
+    return (budget - tail[np.arange(n), seg]) / seg
 
 
 def max_det_capped(floor_mat, caps, offset=None) -> np.ndarray:
@@ -216,9 +223,25 @@ def _sphere_ascent(base, slack, l0):
 
 
 def _weighted_floor(p: RemoteProblem, rates) -> np.ndarray:
-    cov = linalg.inv_pd(posterior_precision(p, rates))
+    """``gamma M(r)^-1 gamma^T`` at validated rates (L,), or the (S, K, K)
+    stack at a rate stack (S, L); inverting before the sandwich keeps it
+    accurate when gamma is ill-conditioned."""
+    cov = linalg.inv_pd(_posterior_precision(p, rates))
     w = p.gamma @ cov @ p.gamma.T
-    return 0.5 * (w + w.T)
+    return 0.5 * (w + w.swapaxes(-1, -2))
+
+
+def _sum_levels(p: RemoteProblem, budget: float, rates):
+    # Sum-criterion determinant levels at validated rates (L,) or a stack
+    # (S, L), with the floor total of each rate vector; the level is NaN
+    # wherever the floor total exceeds the budget.
+    floors = np.linalg.eigvalsh(_weighted_floor(p, rates))
+    if not np.all(floors > 0.0):
+        raise InvalidInput("floors must be positive and finite")
+    xi = _water_levels(floors.reshape(-1, p.k), budget).reshape(floors.shape[:-1])
+    logs = np.log(np.maximum(floors, xi[..., None])).sum(axis=-1)
+    total = floors.sum(axis=-1)
+    return np.where(total <= budget, np.exp(logs - p.logdet_gamma2), np.nan), total
 
 
 def waterfill_det(p: RemoteProblem, criterion: DistortionCriterion, r) -> float:
@@ -238,9 +261,9 @@ def _waterfill_det(p: RemoteProblem, criterion: DistortionCriterion, rates) -> f
     # Trusted core of waterfill_det: rates already validated and the
     # criterion already checked against p.k.
     if isinstance(criterion, SumCrit):
-        floors = np.linalg.eigvalsh(_weighted_floor(p, rates))
-        wl = water_level(floors, criterion.d)
-        return float(math.exp(float(np.log(wl.levels).sum()) - p.logdet_gamma2))
+        theta, total = _sum_levels(p, criterion.d, rates)
+        _require_budget(criterion.d, float(total))
+        return float(theta)
     if isinstance(criterion, VectorCrit):
         z = max_det_capped(_weighted_floor(p, rates), criterion.d_vec)
         return float(math.exp(linalg.logdet_pd(z) - p.logdet_gamma2))
@@ -248,7 +271,7 @@ def _waterfill_det(p: RemoteProblem, criterion: DistortionCriterion, rates) -> f
 
 
 def _matrix_cap_det(p: RemoteProblem, criterion: MatrixCrit, rates) -> float:
-    cov = linalg.inv_pd(posterior_precision(p, rates))
+    cov = linalg.inv_pd(_posterior_precision(p, rates))
     if not linalg.loewner_leq(cov, criterion.target):
         raise InfeasibleDistortion(
             "matrix distortion target does not dominate the floor at these rates"
@@ -280,12 +303,7 @@ def det_oracle(p: RemoteProblem, criterion: DistortionCriterion, r,
     check_criterion(criterion, p.k)
     if isinstance(criterion, SumCrit):
         floors = np.linalg.eigvalsh(_weighted_floor(p, rates))
-        total = float(floors.sum())
-        if criterion.d < total:
-            raise InfeasibleBudget(
-                f"budget {criterion.d} is below the floor total {total}",
-                deficit=total - criterion.d,
-            )
+        _require_budget(criterion.d, float(floors.sum()))
         grid = np.linspace(floors.min(), criterion.d / floors.shape[0], steps)
         filled = np.maximum(grid[:, None], floors[None, :])
         spend = filled.sum(axis=1)

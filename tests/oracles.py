@@ -1,8 +1,13 @@
 """Independent brute-force references used to pin down library outputs."""
 
 import itertools
+import math
 
 import numpy as np
+
+from rdregion.errors import InfeasibleBudget, InfeasibleDistortion
+from rdregion.problems import SumCrit
+from rdregion.waterfill import waterfill_det
 
 
 def min_weighted_sum_lp(bounds, l, weights, tol=1e-9):
@@ -40,3 +45,123 @@ def min_weighted_sum_lp(bounds, l, weights, tol=1e-9):
         if best is None or val < best:
             best = val
     return best
+
+
+def water_level_scan(floors, budget):
+    """Water level by a scan over the sorted breakpoints: the first segment
+    whose candidate level lies inside it, up to 1e-12 relative, else the
+    candidate with the smallest violation. Raises InfeasibleBudget below the
+    floor total."""
+    c = np.asarray(floors, dtype=float).ravel()
+    total = float(c.sum())
+    if budget < total:
+        raise InfeasibleBudget(f"budget {budget} is below the floor total {total}",
+                               deficit=total - budget)
+    s = np.sort(c)
+    k = s.shape[0]
+    tail = np.concatenate([np.cumsum(s[::-1])[::-1], [0.0]])
+    best_xi, best_viol = None, math.inf
+    for j in range(1, k + 1):
+        xi = (budget - tail[j]) / j
+        hi = s[j] if j < k else math.inf
+        viol = max(s[j - 1] - xi, xi - hi, 0.0)
+        if viol <= 1e-12 * max(1.0, abs(xi)):
+            return xi
+        if viol < best_viol:
+            best_xi, best_viol = xi, viol
+    return best_xi
+
+
+def _limit_weighted(p):
+    gamma_inv = np.linalg.inv(p.gamma)
+    m_inf = p.sigma_x_inv + p.a_mat.T @ (p.a_mat / p.noise_vars[:, None])
+    w = gamma_inv.T @ m_inf @ gamma_inv
+    return 0.5 * (w + w.T)
+
+
+def _householder_to_axis(vec, k):
+    # orthogonal T with vec @ T = |vec| e_k
+    n = vec.shape[0]
+    nrm = float(np.linalg.norm(vec))
+    u = vec.copy()
+    u[k] -= nrm
+    uu = float(u @ u)
+    if uu <= (1e-15 * nrm) ** 2:
+        return np.eye(n)
+    return np.eye(n) - (2.0 / uu) * np.outer(u, u)
+
+
+def rotation_bound_sampled(p, row, samples=64, seed=0):
+    """Alignment functional of ``rdregion.matching.rotation_bound`` by
+    explicit search: for every target axis k, the Householder reflection T
+    taking the weighted row onto axis k, composed with ``samples`` seeded
+    Haar rotations of the complement of k, scored by
+    ``(1 + |c|^2 / a_max^2) / (C_kk - |c|^2 / a_max)`` with ``C = T^T W* T``.
+    Returns the best score."""
+    w_star = _limit_weighted(p)
+    a_max = np.linalg.eigvalsh(w_star)[-1]
+    a_hat = (p.a_mat @ np.linalg.inv(p.gamma))[row]
+    k = p.k
+    rng = np.random.default_rng(seed)
+    best = -math.inf
+    for axis in range(k):
+        base = _householder_to_axis(a_hat, axis)
+        candidates = [base]
+        rest = [i for i in range(k) if i != axis]
+        for _ in range(samples if k > 2 else 0):
+            q, rmat = np.linalg.qr(rng.normal(size=(k - 1, k - 1)))
+            haar = np.eye(k)
+            haar[np.ix_(rest, rest)] = q * np.sign(np.diag(rmat))
+            candidates.append(base @ haar)
+        for t in candidates:
+            c_mat = t.T @ w_star @ t
+            chi = c_mat[axis, axis]
+            off = np.delete(c_mat[axis], axis)
+            norm2 = float(off @ off)
+            best = max(best, (1.0 + norm2 / a_max**2) / (chi - norm2 / a_max))
+    return best
+
+
+def _sum_level_per_point(p, d, r):
+    # determinant level of the sum criterion at one rate vector, from the
+    # weighted floor's spectrum and the breakpoint scan
+    m = p.sigma_x_inv + p.a_mat.T @ (p.a_mat * (-np.expm1(-2.0 * r) / p.noise_vars)[:, None])
+    cov = np.linalg.inv(m)
+    w = p.gamma @ (0.5 * (cov + cov.T)) @ p.gamma.T
+    floors = np.linalg.eigvalsh(0.5 * (w + w.T))
+    xi = water_level_scan(floors, d)
+    return math.exp(float(np.log(np.maximum(floors, xi)).sum()) - p.logdet_gamma2)
+
+
+def md_scan_per_point(p, criterion, r_max=8.0, points=6, tol=1e-9):
+    """``rdregion.matching.md_scan`` one grid point and one neighbour pair
+    at a time: returns ``(holds, worst, pairs)``. Sum criteria take their
+    level from :func:`water_level_scan`, other criteria from
+    ``waterfill_det``."""
+    axes = np.linspace(0.0, float(r_max), points)
+    values = {}
+    for idx in itertools.product(range(points), repeat=p.l):
+        r = axes[list(idx)]
+        try:
+            if isinstance(criterion, SumCrit):
+                values[idx] = _sum_level_per_point(p, criterion.d, r)
+            else:
+                values[idx] = waterfill_det(p, criterion, r)
+        except (InfeasibleBudget, InfeasibleDistortion):
+            values[idx] = None
+    worst = 0.0
+    pairs = 0
+    for idx, th in values.items():
+        if th is None:
+            continue
+        for l in range(p.l):
+            if idx[l] + 1 >= points:
+                continue
+            th2 = values[idx[:l] + (idx[l] + 1,) + idx[l + 1:]]
+            if th2 is None:
+                continue
+            v1 = math.exp(-2.0 * axes[idx[l]]) * th
+            v2 = math.exp(-2.0 * axes[idx[l] + 1]) * th2
+            worst = max(worst, (v2 - v1) / max(v1, 1e-300))
+            pairs += 1
+    return worst <= tol, worst, pairs

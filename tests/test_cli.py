@@ -9,6 +9,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -306,7 +307,7 @@ class TestMatch:
         p = remote_pair_problem()
         assert payload["layout"] == "remote"
         th = payload["thresholds"]
-        assert th["rotation"] == matching.threshold_rotation(p, samples=64, seed=0)
+        assert th["rotation"] == matching.threshold_rotation(p)
         assert th["simplified"] == matching.threshold_simplified(p)
         assert th["noise"] == matching.threshold_noise(p)
         assert "scan" not in payload
@@ -325,6 +326,23 @@ class TestMatch:
         scan = json.loads(out.read_text())["scan"]
         assert scan["holds"] is True
         assert scan["pairs"] > 0
+
+    def test_samples_flag_is_gone(self, tmp_path):
+        # the rotation threshold is exact, so there is nothing to sample
+        with pytest.raises(SystemExit) as err:
+            main(["match", "--input", remote_pair_file(tmp_path), "--samples", "8"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("r_max", ["nan", "inf", "-1", "0"])
+    def test_bad_r_max_exit_3(self, tmp_path, capsys, r_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["match", "--input", remote_scalar_file(tmp_path), "--d-sum", "0.8",
+                       "--r-max", r_max])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "r_max must be positive and finite" in err
+        assert "RuntimeWarning" not in err
 
     def test_mt_report_carries_both_threshold_families(self, tmp_path):
         out = tmp_path / "report.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rdregion import linalg
-from rdregion.errors import DegenerateInput, DimMismatch, InvalidMatrix, SingularInput
+from rdregion.errors import DimMismatch, InvalidMatrix, SingularInput
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -166,13 +166,23 @@ class TestStackedLogdet:
         assert got.shape == (40,)
         assert got.tolist() == [linalg.logdet_pd(a) for a in stack]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+    def test_inverse_stack_matches_per_matrix_bitwise(self, n):
+        rng = np.random.default_rng(31 + n)
+        stack = np.array([random_spd(rng, n) for _ in range(40)])
+        got = linalg.inv_pd(stack)
+        assert got.shape == (40, n, n)
+        assert np.array_equal(got, np.array([linalg.inv_pd(a) for a in stack]))
+        assert np.array_equal(got, np.swapaxes(got, -1, -2))
+
     @pytest.mark.parametrize("case", [0, 1])
     def test_pivot_guard_applies_to_every_member(self, case):
         rng = np.random.default_rng(29)
         stack = np.array([random_spd(rng, 2) for _ in range(5)])
         stack[3] = TestPivotGuard.NUMERICALLY_SINGULAR[case]
-        with pytest.raises(SingularInput):
-            linalg.logdet_pd(stack)
+        for fn in (linalg.logdet_pd, linalg.inv_pd):
+            with pytest.raises(SingularInput):
+                fn(stack)
 
     def test_single_matrix_gives_python_float(self):
         assert type(linalg.logdet_pd(np.diag([2.0, 3.0]))) is float
@@ -193,40 +203,3 @@ class TestLoewner:
         with pytest.raises(DimMismatch):
             linalg.loewner_leq(np.eye(2), np.eye(3))
 
-
-class TestHouseholder:
-    def test_rotates_3_4_onto_second_axis(self):
-        v = np.array([3.0, 4.0])
-        t = linalg.householder_to_axis(v, 1)
-        assert np.allclose(v @ t, [0.0, 5.0], atol=1e-12)
-        assert np.allclose(t @ t.T, np.eye(2), atol=1e-12)
-
-    def test_rotates_ones_onto_first_axis(self):
-        v = np.ones(3)
-        t = linalg.householder_to_axis(v, 0)
-        assert np.allclose(v @ t, [np.sqrt(3.0), 0.0, 0.0], atol=1e-12)
-
-    def test_identity_when_already_aligned(self):
-        t = linalg.householder_to_axis(np.array([0.0, 2.5, 0.0]), 1)
-        assert np.allclose(t, np.eye(3), atol=1e-12)
-
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_random_vectors(self, n):
-        rng = np.random.default_rng(400 + n)
-        for _ in range(10):
-            v = rng.normal(size=n)
-            k = int(rng.integers(n))
-            t = linalg.householder_to_axis(v, k)
-            out = v @ t
-            assert np.allclose(t @ t.T, np.eye(n), atol=1e-10)
-            assert np.isclose(out[k], np.linalg.norm(v), atol=1e-10)
-            out[k] = 0.0
-            assert np.allclose(out, 0.0, atol=1e-10)
-
-    def test_rejects_zero_vector(self):
-        with pytest.raises(DegenerateInput):
-            linalg.householder_to_axis(np.zeros(3), 0)
-
-    def test_rejects_bad_axis(self):
-        with pytest.raises(DegenerateInput):
-            linalg.householder_to_axis(np.ones(3), 3)

@@ -5,6 +5,8 @@ from rdregion import matching
 from rdregion.errors import DegenerateInput, InvalidInput
 from rdregion.problems import RemoteProblem, SumCrit, VectorCrit
 
+from oracles import md_scan_per_point, rotation_bound_sampled
+
 
 def scalar_problem():
     return RemoteProblem(
@@ -18,6 +20,17 @@ def isotropic_pair(gamma_scale=1.0):
         a_mat=np.eye(2),
         noise_vars=np.ones(2),
         gamma=gamma_scale * np.eye(2),
+    )
+
+
+def violating_pair():
+    # a nearly noiseless direction pins a tiny water level while the other
+    # direction's precision grows fast: the scaled level rises
+    return RemoteProblem(
+        sigma_x=np.diag([1e-4, 1.0]),
+        a_mat=np.array([[0.0, 1.0]]),
+        noise_vars=np.array([1.0]),
+        gamma=np.eye(2),
     )
 
 
@@ -91,12 +104,16 @@ class TestRotationBound:
             for row in range(3):
                 assert matching.rotation_bound(p, row) >= 1.0 / a_max - 1e-10
 
-    def test_sampling_only_improves(self):
-        rng = np.random.default_rng(14)
-        p = random_remote(rng, 3, 2)
-        low = matching.rotation_bound(p, 0, samples=2, seed=0)
-        high = matching.rotation_bound(p, 0, samples=200, seed=0)
-        assert high >= low - 1e-12
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_sampled_oracle(self, k):
+        # the sampled complement rotations cannot move the functional, so
+        # the closed form equals the explicit search on every row
+        rng = np.random.default_rng(140 + k)
+        for _ in range(4):
+            p = random_remote(rng, k, 3)
+            for row in range(3):
+                want = rotation_bound_sampled(p, row)
+                assert abs(matching.rotation_bound(p, row) - want) <= 1e-12 * abs(want)
 
     def test_rejects_bad_row(self):
         with pytest.raises(InvalidInput):
@@ -133,6 +150,29 @@ class TestThresholds:
         assert np.isclose(matching.threshold_noise(p), 6.0)
         assert np.isclose(matching.threshold_rotation(p), 6.0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_rotation_matches_sampled_oracle(self, k):
+        rng = np.random.default_rng(150 + k)
+        for _ in range(4):
+            p = random_remote(rng, k, 3)
+            a_max = matching.limit_spectrum(p)[-1]
+            want = k / a_max + min(rotation_bound_sampled(p, row) for row in range(3))
+            assert abs(matching.threshold_rotation(p) - want) <= 1e-12 * abs(want)
+
+    def test_rotation_takes_one_spectrum(self, monkeypatch):
+        # one eigvalsh of W* for all rows, and no sampled candidates
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigvalsh(a)
+
+        p = random_remote(np.random.default_rng(16), 3, 4)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        matching.threshold_rotation(p)
+        assert calls == [(3, 3)]
+
     def test_rotation_at_least_simplified(self):
         # the alignment term never falls below 1 / a_max
         rng = np.random.default_rng(15)
@@ -165,15 +205,7 @@ class TestMdScan:
         assert rep.holds
 
     def test_detects_violation(self):
-        # a nearly noiseless direction pins a tiny water level while the
-        # other direction's precision grows fast: the scaled level rises
-        p = RemoteProblem(
-            sigma_x=np.diag([1e-4, 1.0]),
-            a_mat=np.array([[0.0, 1.0]]),
-            noise_vars=np.array([1.0]),
-            gamma=np.eye(2),
-        )
-        rep = matching.md_scan(p, SumCrit(1.0011), r_max=8.0, points=6)
+        rep = matching.md_scan(violating_pair(), SumCrit(1.0011), r_max=8.0, points=6)
         assert not rep.holds
         assert rep.worst > 1.0
 
@@ -193,6 +225,85 @@ class TestMdScan:
         )
         with pytest.raises(InvalidInput):
             matching.md_scan(p, SumCrit(0.9), points=6)
+
+    def test_matches_per_point_oracle(self):
+        # holding scans below the thresholds, the violating instance of
+        # test_detects_violation, and seeded instances with an unobserved
+        # low-variance coordinate and a budget just above the zero-rate
+        # floor, where the scaled level rises
+        cases = []
+        rng = np.random.default_rng(18)
+        for k, l in ((1, 2), (2, 2), (2, 3), (3, 2), (3, 3)):
+            p = random_remote(rng, k, l)
+            cases.append((p, SumCrit(1.2 * matching.threshold_simplified(p)), 5))
+        cases.append((violating_pair(), SumCrit(1.0011), 6))
+        while len(cases) < 16:
+            k, l = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+            sigma_x = np.diag(np.r_[10.0 ** rng.uniform(-5, -3), rng.uniform(0.5, 2, k - 1)])
+            p = RemoteProblem(
+                sigma_x=sigma_x,
+                a_mat=np.c_[np.zeros((l, 1)), rng.normal(size=(l, k - 1))],
+                noise_vars=rng.uniform(0.3, 2.0, size=l),
+                gamma=np.eye(k) + 0.1 * rng.normal(size=(k, k)),
+            )
+            d = np.trace(p.gamma @ sigma_x @ p.gamma.T) * (1.0 + 10.0 ** rng.uniform(-4, -1))
+            cases.append((p, SumCrit(d), 4))
+        cases.append((random_remote(rng, 2, 2), VectorCrit([2.0, 2.0]), 4))
+        violating = 0
+        for p, crit, points in cases:
+            rep = matching.md_scan(p, crit, points=points)
+            holds, worst, pairs = md_scan_per_point(p, crit, points=points)
+            assert (rep.holds, rep.pairs) == (holds, pairs)
+            assert abs(rep.worst - worst) <= 1e-12 * worst
+            violating += worst > 0.0
+        assert violating >= 5
+
+    def test_one_stacked_inverse(self, monkeypatch):
+        # the whole 6^3 grid shares one inverse and no scalar water level
+        from rdregion import linalg, waterfill
+
+        p = random_remote(np.random.default_rng(19), 2, 3)
+        p.sigma_x_inv  # the problem's cached constant, not part of the scan
+        calls = {"inv_pd": 0, "water_level": 0}
+        for mod, name in ((linalg, "inv_pd"), (waterfill, "water_level")):
+            fn = getattr(mod, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(mod, name, counted)
+        matching.md_scan(p, SumCrit(2.0), points=6)
+        assert calls == {"inv_pd": 1, "water_level": 0}
+
+    def test_large_grid_memory_is_bounded(self):
+        # a 10^4-point scan at K=12 is evaluated in blocks; one stack of the
+        # whole grid peaks near 35 MB
+        import tracemalloc
+
+        rng = np.random.default_rng(20)
+        m = rng.normal(size=(12, 12))
+        p = RemoteProblem(
+            sigma_x=m @ m.T + np.eye(12),
+            a_mat=rng.normal(size=(4, 12)),
+            noise_vars=np.ones(4),
+            gamma=np.eye(12),
+        )
+        crit = SumCrit(float(np.trace(p.sigma_x)))
+        p.sigma_x_inv  # the problem's cached constant, not part of the scan
+        tracemalloc.start()
+        try:
+            rep = matching.md_scan(p, crit, points=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.pairs == 4 * 9 * 10**3
+        assert peak < 20e6
+
+    @pytest.mark.parametrize("r_max", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_rejects_bad_r_max(self, r_max):
+        with pytest.raises(InvalidInput, match="r_max"):
+            matching.md_scan(scalar_problem(), SumCrit(0.8), r_max=r_max)
 
     def test_checks_the_criterion_once(self, monkeypatch):
         # the criterion is fixed for the whole scan, so it is checked at

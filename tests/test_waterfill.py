@@ -9,7 +9,10 @@ from rdregion.problems import (
     SumCrit,
     VectorCrit,
     posterior_precision,
+    weighted_error_covariance,
 )
+
+from oracles import water_level_scan
 
 
 def scalar_problem():
@@ -75,6 +78,23 @@ class TestWaterLevel:
             wl = waterfill.water_level(floors, budget)
             assert np.isclose(wl.levels.sum(), budget, rtol=1e-12)
             assert np.all(wl.levels >= floors - 1e-12)
+
+    def test_one_row_of_the_batched_rule(self):
+        # the draws of test_budget_identity_random, each stacked with scaled
+        # and shuffled copies and filled at a common budget: every row of
+        # the batch has the scalar level's bits, also at budget == total;
+        # the breakpoint scan agrees to rounding
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            floors = rng.uniform(0.1, 3.0, size=rng.integers(1, 6))
+            spent = floors.sum() * rng.uniform(1.0, 3.0)
+            stack = np.array([floors, 0.5 * floors, rng.permutation(floors)])
+            for budget in (spent, stack.sum(axis=1).max()):
+                batch = waterfill._water_levels(stack, budget)
+                for row, xi in zip(stack, batch):
+                    scalar = waterfill.water_level(row, budget).xi
+                    assert scalar == xi
+                    assert np.isclose(scalar, water_level_scan(row, budget), rtol=1e-12, atol=0.0)
 
     def test_rejects_nonpositive_floor(self):
         with pytest.raises(InvalidInput):
@@ -244,6 +264,28 @@ class TestWaterfillDet:
         p = scalar_problem()
         with pytest.raises(InfeasibleBudget):
             waterfill.waterfill_det(p, SumCrit(0.1), [0.1])
+
+    def test_stacked_levels_equal_per_point_bitwise(self):
+        # a stack of rate vectors, as md_scan evaluates it, gives every
+        # vector the bits of its own waterfill_det, and NaN where the budget
+        # is out of reach
+        rng = np.random.default_rng(37)
+        seen = []
+        for k, l in ((1, 2), (2, 3), (3, 2), (4, 4), (6, 3)):
+            p = random_remote(rng, k, l)
+            grid = rng.uniform(0.0, 1.0, size=(40, l))
+            # between the floor totals at unbounded and at zero rates
+            lo = float(np.trace(weighted_error_covariance(p)))
+            d = lo + 0.25 * (float(np.trace(p.gamma @ p.sigma_x @ p.gamma.T)) - lo)
+            theta, _ = waterfill._sum_levels(p, d, grid)
+            for r, got in zip(grid, theta):
+                try:
+                    want = waterfill.waterfill_det(p, SumCrit(d), r)
+                except InfeasibleBudget:
+                    want = np.nan
+                assert np.array_equal(got, want, equal_nan=True)
+            seen.extend(np.isnan(theta))
+        assert any(seen) and not all(seen)
 
 
 class TestDetOracle:
