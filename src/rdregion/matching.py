@@ -49,7 +49,7 @@ __all__ = [
 
 def weighted_rows(p: RemoteProblem) -> np.ndarray:
     """Observation rows in the weighted coordinates, ``A @ Gamma^-1``."""
-    return p.a_mat @ np.linalg.inv(p.gamma)
+    return p.a_mat @ p.gamma_inv
 
 
 def weighted_spectrum(p: RemoteProblem, r) -> np.ndarray:
@@ -59,21 +59,13 @@ def weighted_spectrum(p: RemoteProblem, r) -> np.ndarray:
     eigenvalues are the reciprocals of the water-filling floors.
     """
     rates = as_rates(r, p.l)
-    gamma_inv = np.linalg.inv(p.gamma)
-    w = gamma_inv.T @ posterior_precision(p, rates) @ gamma_inv
+    w = p.gamma_inv.T @ posterior_precision(p, rates) @ p.gamma_inv
     return np.linalg.eigvalsh(0.5 * (w + w.T))
-
-
-def _limit_weighted(p: RemoteProblem) -> np.ndarray:
-    gamma_inv = np.linalg.inv(p.gamma)
-    m_inf = p.sigma_x_inv + p.a_mat.T @ (p.a_mat / p.noise_vars[:, None])
-    w = gamma_inv.T @ m_inf @ gamma_inv
-    return 0.5 * (w + w.T)
 
 
 def limit_spectrum(p: RemoteProblem) -> np.ndarray:
     """Ascending eigenvalues of the weighted precision at unbounded rates."""
-    return np.linalg.eigvalsh(_limit_weighted(p))
+    return p.limit_spectrum.copy()
 
 
 def _rotation_bounds(p: RemoteProblem, rows: np.ndarray):
@@ -81,8 +73,8 @@ def _rotation_bounds(p: RemoteProblem, rows: np.ndarray):
     # aligning the row with an axis k maps that axis to u = row / |row|, so
     # C_kk = u^T W* u and c is W* u less its component along u, whatever k
     # and whatever T does on the complement of k.
-    w_star = _limit_weighted(p)
-    a_max = np.linalg.eigvalsh(w_star)[-1]
+    w_star = p.limit_weighted
+    a_max = p.limit_spectrum[-1]
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     if np.any(norms <= 0.0):
         raise DegenerateInput("observation row vanishes in weighted coordinates")
@@ -125,7 +117,7 @@ def threshold_rotation(p: RemoteProblem) -> float:
 
 def threshold_simplified(p: RemoteProblem) -> float:
     """Spectrum-only sum-distortion threshold ``(K + 1) / a_max``."""
-    return (p.k + 1) / limit_spectrum(p)[-1]
+    return (p.k + 1) / p.limit_spectrum[-1]
 
 
 def threshold_noise(p: RemoteProblem) -> float:
@@ -135,7 +127,7 @@ def threshold_noise(p: RemoteProblem) -> float:
     matching holds for budgets up to
     ``K/a_max + (sqrt(1 + 4 a_max tau*) - 1) / (2 a_max)``.
     """
-    a_max = limit_spectrum(p)[-1]
+    a_max = p.limit_spectrum[-1]
     rows = weighted_rows(p)
     norms2 = np.einsum("ij,ij->i", rows, rows)
     if np.any(norms2 <= 0.0):

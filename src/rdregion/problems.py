@@ -84,8 +84,9 @@ class RemoteProblem:
         Invertible distortion weight; the reconstruction error is measured
         through ``gamma @ (x - xhat)``.
 
-    ``sigma_x_inv`` and ``logdet_gamma2`` are computed on first use and
-    cached; cached arrays are read-only.
+    ``sigma_x_inv``, ``logdet_gamma2``, ``gamma_inv``, ``limit_weighted``
+    and ``limit_spectrum`` are computed on first use and cached; cached
+    arrays are read-only.
     """
 
     sigma_x: np.ndarray
@@ -134,6 +135,23 @@ class RemoteProblem:
     def logdet_gamma2(self) -> float:
         """``2 log|det gamma|``, the log-determinant of ``gamma @ gamma.T``."""
         return float(2.0 * np.linalg.slogdet(self.gamma)[1])
+
+    @cached_property
+    def gamma_inv(self) -> np.ndarray:
+        return _read_only(np.linalg.inv(self.gamma))
+
+    @cached_property
+    def limit_weighted(self) -> np.ndarray:
+        """``W* = gamma^-T (sigma_x^-1 + A^T diag(noise_vars)^-1 A) gamma^-1``,
+        the weighted posterior precision at unbounded rates."""
+        m_inf = self.sigma_x_inv + self.a_mat.T @ (self.a_mat / self.noise_vars[:, None])
+        w = self.gamma_inv.T @ m_inf @ self.gamma_inv
+        return _read_only(0.5 * (w + w.T))
+
+    @cached_property
+    def limit_spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of ``limit_weighted``."""
+        return _read_only(np.linalg.eigvalsh(self.limit_weighted))
 
     @property
     def l(self) -> int:

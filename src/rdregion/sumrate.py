@@ -32,7 +32,7 @@ from .errors import (
     InvalidWeights,
 )
 from .problems import MultiterminalProblem, as_rates, mt_posterior_precision
-from .waterfill import _max_det_capped, max_det_capped, water_level
+from .waterfill import _max_det_capped, _water_levels, max_det_capped
 
 __all__ = [
     "SumRateResult",
@@ -296,8 +296,8 @@ def sum_rate_lower(mp: MultiterminalProblem, d_vec, starts: int = 16, seed: int 
     posterior floor with ``diag(Sigma_d) <= d_vec``, where ``B`` is the
     layout-transform offset. The inner determinant maximization is
     :func:`rdregion.waterfill.max_det_capped` (closed form for two
-    encoders, Gram-factor ascent over feasible points above that); the
-    outer search over rates is seeded multi-start coordinate descent, so
+    encoders, a certified barrier Newton solve above that); the outer
+    search over rates is seeded multi-start coordinate descent, so
     the reported minimum is a valid bound but only a heuristic global
     optimum. The value is clamped at zero.
     """
@@ -487,8 +487,9 @@ def _lower_at_trace(mp, gamma_eff, d, starts, seed, r_hi, r_cap=12.0,
         total = float(floors.sum())
         if budget - total < -tol:
             return math.inf
-        wl = water_level(floors, max(budget, total))
-        log_w = float(np.log(wl.levels).sum()) - log_ge2
+        # trusted rule: the floors are a PD spectrum and the budget is internal
+        xi = _water_levels(floors[None, :], max(budget, total))[0]
+        log_w = float(np.log(np.maximum(floors, xi)).sum()) - log_ge2
         return float(np.sum(rates)) + 0.5 * (log_syb - log_w)
 
     if not feas(np.full(l, r_cap)):

@@ -53,7 +53,7 @@ class WaterLevel:
 
 @dataclass(frozen=True)
 class OracleBracket:
-    """Grid-search estimate with a one-sided bracket width.
+    """Reference estimate with a one-sided bracket width.
 
     ``value`` is a lower estimate of the optimum and ``value + err`` an
     upper one; ``err == 0`` marks an exact hit.
@@ -110,14 +110,18 @@ def _water_levels(floors, budget: float) -> np.ndarray:
 
 def max_det_capped(floor_mat, caps, offset=None) -> np.ndarray:
     """Maximize ``logdet(Z + offset)`` over ``Z >= floor_mat`` (Loewner)
-    with per-coordinate caps ``diag(Z) <= caps``.
+    with per-coordinate caps ``diag(Z) <= caps``; ``floor_mat + offset``
+    must be positive definite.
 
     The optimum always pins the diagonal at the caps. For two coordinates
     the off-diagonal entry is then the feasible value closest to
     ``-offset[0, 1]``, in closed form. In higher dimension the stationary
     matrix with that diagonal is returned when it dominates the floor;
-    otherwise gradient ascent runs on a Gram factor of ``Z - floor_mat``,
-    whose iterates are feasible by construction.
+    otherwise a log-barrier Newton method over the off-diagonal entries of
+    ``Z - floor_mat`` solves this max-det program (Vandenberghe, Boyd & Wu,
+    SIAM J. Matrix Anal. Appl. 19(2), 1998). Its iterates are feasible by
+    construction, and it stops once explicit dual multipliers certify
+    ``logdet(Z + offset)`` within 1e-10 of the optimum.
     """
     f = linalg.as_symmetric(floor_mat)
     k = f.shape[0]
@@ -132,11 +136,18 @@ def max_det_capped(floor_mat, caps, offset=None) -> np.ndarray:
         g_off = linalg.as_symmetric(offset)
         if g_off.shape != f.shape:
             raise InvalidInput("offset has the wrong shape")
+    if linalg.min_eig(f + g_off) <= 0.0:
+        raise InvalidInput("floor_mat + offset must be positive definite")
+    return _max_det_capped(f, c, g_off, _cap_slack(f, c))
+
+
+def _cap_slack(f, c) -> np.ndarray:
+    # c - diag(f), clipped at zero after a check against the cap tolerance
     slack = c - np.diag(f)
     tol_vec = 1e-12 * np.maximum(1.0, np.abs(c))
     if np.any(slack < -tol_vec):
         raise InfeasibleDistortion("per-coordinate caps fall below the floor diagonal")
-    return _max_det_capped(f, c, g_off, np.clip(slack, 0.0, None))
+    return np.clip(slack, 0.0, None)
 
 
 def _max_det_capped(f, c, g_off, slack) -> np.ndarray:
@@ -162,64 +173,103 @@ def _max_det_capped(f, c, g_off, slack) -> np.ndarray:
         z_int = np.diag(diag_full) - g_off
         if linalg.loewner_leq(f, z_int):
             return z_int
-    l_fin, _ = _sphere_ascent(f + g_off, slack, np.diag(np.sqrt(slack)))
-    z = f + l_fin @ l_fin.T
-    return 0.5 * (z + z.T)
+    return _max_det_newton(f, g_off, slack).z
 
 
-def _sphere_ascent(base, slack, l0):
-    """Maximize ``logdet(base + L @ L.T)`` with row i of L pinned to norm
-    ``sqrt(slack[i])``.
+@dataclass(frozen=True)
+class _MaxDet:
+    """Feasible ``z`` with ``logdet = logdet(z + offset)``, and the dual
+    value at explicit multipliers ``nu >= 0``, ``lam >= 0`` (Loewner): the
+    optimum lies in ``[logdet, dual]``. ``steps`` counts Newton steps."""
 
-    Writing ``Z - floor = L @ L.T`` keeps every iterate feasible for the
-    capped determinant problem by construction: the Gram term dominates
-    zero and its diagonal equals the slack exactly, so the projection step
-    is plain row renormalization and there are no cone corners to stall on.
-    Backtracking gradient ascent with an adaptive step, for at most 1500
-    steps; it stops early once three steps in a row gain less than 1e-14
-    relative to the value.
-    """
-    tgt = np.sqrt(np.clip(np.asarray(slack, dtype=float), 0.0, None))
+    z: np.ndarray
+    logdet: float
+    dual: float
+    nu: np.ndarray
+    lam: np.ndarray
+    steps: int
 
-    def renorm(l_mat):
-        nrm = np.sqrt((l_mat * l_mat).sum(axis=1))
-        fac = np.where(nrm > 0.0, tgt / np.maximum(nrm, 1e-300), 0.0)
-        return l_mat * fac[:, None]
 
-    def value(l_mat):
-        sign, logdet = np.linalg.slogdet(base + l_mat @ l_mat.T)
-        return float(logdet) if sign > 0.0 else -math.inf
+_GAP = 1e-10  # the barrier path stops once |P| / t reaches this gap
+_MU = 50.0  # barrier weight growth per stage
 
-    l_mat = renorm(np.asarray(l0, dtype=float))
-    cur = value(l_mat)
-    step = 0.1
-    stall = 0
-    for _ in range(1500):
-        h = np.linalg.inv(base + l_mat @ l_mat.T)
-        grad = 2.0 * h @ l_mat
-        g_nrm = float(np.sqrt((grad * grad).sum()))
-        if not math.isfinite(g_nrm) or g_nrm <= 0.0:
+
+def _max_det_newton(f, g_off, slack) -> _MaxDet:
+    # Barrier path for max logdet(A + Y), A = f + g_off, over Y >= 0 with
+    # diag Y = slack. Rows without slack keep Y at zero, so only the free
+    # block P carries unknowns, against the Schur complement A_c of A's
+    # pinned block: Y_P = R C R with R = diag(sqrt(slack_P)) and C a
+    # correlation matrix. Stage t minimizes -t logdet(A_c + Y_P) - logdet C
+    # over C's off-diagonal entries by Newton steps, damped to
+    # 1/(1 + lambda) while the decrement lambda >= 1/4; a step inside the
+    # Dikin ellipsoid keeps C in the cone, so no objective values are
+    # compared. A stage ends at lambda <= 1/2 (lambda^2 <= 2e-8 in the last)
+    # or after 40 steps; t grows by _MU until |P| / t <= _GAP. The Newton
+    # system lives in the frame of C = L L^T, never in C^-1, whose error
+    # grows with t: with Q = R X_c^-1 R, L^T Q L = U diag(sig) U^T and
+    # W = L U, the step is D = W H W^T for H = (diag(1 + t sig) -
+    # W^T diag(w) W) / (1 + t sig sig^T), where the multiplier w of the
+    # unit diagonal solves diag(D) = 0.
+    k = f.shape[0]
+    a = f + g_off
+    free = slack > 0.0
+    q = int(free.sum())
+    cross = a[free][:, ~free]
+    a_c = a[free][:, free] - cross @ np.linalg.solve(a[~free][:, ~free], cross.T)
+    root = np.sqrt(slack[free])
+    scale = root[:, None] * root
+    corr = low = np.eye(q)
+    t = 1.0 if q > 1 else 1.0 / _GAP
+    steps = stage = 0
+    while q:
+        qs = scale * np.linalg.inv(a_c + scale * corr)
+        sig, u = np.linalg.eigh(low.T @ qs @ low)
+        w = low @ u
+        ts = t * sig
+        om = 1.0 + ts[:, None] * sig
+        kr = (w[:, :, None] * w[:, None, :]).reshape(q, q * q)
+        mult = np.linalg.solve((kr / om.ravel()) @ kr.T, (w * w) @ ((1.0 + ts) / (1.0 + ts * sig)))
+        dhat = (w.T * -mult) @ w
+        dhat.flat[:: q + 1] += 1.0 + ts
+        dhat /= om
+        delta = w @ dhat @ w.T
+        delta = 0.5 * (delta + delta.T)
+        np.fill_diagonal(delta, 0.0)
+        dec2 = float((om * dhat * dhat).sum())
+        last = q / t <= _GAP
+        if last and (dec2 <= 2e-8 or stage == 40):
             break
-        grad = grad / g_nrm
-        gain = 0.0
-        for _ in range(30):
-            trial = renorm(l_mat + step * grad)
-            v = value(trial)
-            if v > cur:
-                gain = v - cur
-                l_mat, cur = trial, v
-                step = min(step * 1.6, 1e6)
-                break
-            step *= 0.5
-        else:
-            break
-        if gain < 1e-14 * max(1.0, abs(cur)):
-            stall += 1
-            if stall >= 3:
-                break
-        else:
-            stall = 0
-    return l_mat, cur
+        step = 1.0 if dec2 < 0.0625 else 1.0 / (1.0 + math.sqrt(dec2))
+        corr = corr + step * delta
+        low = np.linalg.cholesky(corr)
+        steps, stage = steps + 1, stage + 1
+        if not last and (dec2 <= 0.25 or stage == 40):
+            t, stage = min(_MU * t, q / _GAP), 0
+    # The certificate: the last Newton system's own dual estimate
+    # lam_P = R^-1 (diag(w) / t - Q + Q D Q) R^-1 = (R W)^-T (I - H) (R W)^-1 / t
+    # is >= 0 while lambda < 1 and leaves S = X^-1 - offdiag(E) on P, with
+    # E = R^-1 Q D Q R^-1 of second order. Built from Q rather than C^-1, it
+    # stays accurate at large t. A pinned row takes its row of S from X^-1
+    # and a multiplier nu making lam >= 0 by its Schur complement (lam_P^-1
+    # <= 2 t Y_P while lambda < 1/2); nu meets a zero slack in the dual.
+    y = np.zeros((k, k))
+    y[np.ix_(free, free)] = scale * corr
+    x = a + y
+    s_mat = np.linalg.inv(x)
+    nu = np.zeros(k)
+    if q:
+        e = (qs @ delta @ qs) / scale
+        nu[free] = mult / (t * slack[free]) + np.diag(e)
+        s_mat[np.ix_(free, free)] -= e - np.diag(np.diag(e))
+    if q < k:
+        rows = s_mat[~free]
+        nu[~free] = 2.0 * np.linalg.eigvalsh(rows[:, ~free] + t * rows @ y @ rows.T)[-1]
+    sign, logdet_s = np.linalg.slogdet(s_mat)
+    dual = math.inf
+    if sign > 0.0 and (not q or dec2 < 0.25):
+        dual = -logdet_s - k + float((s_mat * a).sum() + nu[free] @ slack[free])
+    return _MaxDet(z=f + y, logdet=float(np.linalg.slogdet(x)[1]), dual=float(dual),
+                   nu=nu, lam=np.diag(nu) - s_mat, steps=steps)
 
 
 def _weighted_floor(p: RemoteProblem, rates) -> np.ndarray:
@@ -280,28 +330,29 @@ def _matrix_cap_det(p: RemoteProblem, criterion: MatrixCrit, rates) -> float:
 
 
 def det_oracle(p: RemoteProblem, criterion: DistortionCriterion, r,
-               steps: int = 2000, starts: int = 16, seed: int = 0) -> OracleBracket:
+               steps: int = 2000) -> OracleBracket:
     """Reference solver for :func:`waterfill_det` under any criterion.
 
-    Sum criterion: scans candidate water levels on a uniform grid and
-    reports the best feasible value together with the bracket width to the
-    next grid point, so the true optimum lies in ``[value, value + err]``.
+    Sum criterion: scans candidate water levels on a uniform grid of
+    ``steps >= 2`` points and reports the best feasible value together
+    with the bracket width to the next grid point, so the true optimum
+    lies in ``[value, value + err]``.
 
-    Vector criterion: maximizes the determinant over Gram-factor
-    parametrizations of the dominated covariance from ``starts`` seeded
-    initial points, then fits Lagrange multipliers at the best point found;
-    weak duality turns them into an upper bound on the optimum, so the true
-    value lies in ``[value, value + err]`` whether or not the search
-    converged.
+    Vector criterion: runs the barrier Newton solver behind
+    :func:`max_det_capped` at every dimension, without the closed forms
+    and the stationarity shortcut taken there, so it checks them
+    independently. ``value`` is the determinant at its feasible point and
+    ``value + err`` the dual bound at its explicit multipliers; weak
+    duality makes the bracket valid whether or not the path converged.
 
     Matrix criterion: checks dominance and returns the cap determinant
     exactly (``err == 0``).
     """
-    if steps < 2:
-        raise InvalidInput("det_oracle needs at least two grid points")
     rates = as_rates(r, p.l)
     check_criterion(criterion, p.k)
     if isinstance(criterion, SumCrit):
+        if steps < 2:
+            raise InvalidInput("det_oracle needs at least two grid points")
         floors = np.linalg.eigvalsh(_weighted_floor(p, rates))
         _require_budget(criterion.d, float(floors.sum()))
         grid = np.linspace(floors.min(), criterion.d / floors.shape[0], steps)
@@ -317,74 +368,10 @@ def det_oracle(p: RemoteProblem, criterion: DistortionCriterion, r,
         )
     if isinstance(criterion, VectorCrit):
         f_mat = _weighted_floor(p, rates)
-        best_log, gap = _ascend_det_capped(f_mat, criterion.d_vec, starts, seed)
-        value = float(math.exp(best_log - p.logdet_gamma2))
-        return OracleBracket(value=value, err=float(value * np.expm1(gap)))
+        sol = _max_det_newton(f_mat, np.zeros_like(f_mat), _cap_slack(f_mat, criterion.d_vec))
+        value = math.exp(sol.logdet - p.logdet_gamma2)
+        return OracleBracket(value=value, err=value * math.expm1(max(0.0, sol.dual - sol.logdet)))
     return OracleBracket(value=_matrix_cap_det(p, criterion, rates), err=0.0)
-
-
-def _ascend_det_capped(f_mat, caps, starts, seed):
-    # Multi-start ascent over Gram factors of Z - floor, plus a weak-duality
-    # certificate fitted at the best point. The certificate bounds the
-    # optimum from above whether or not the search converged, so the
-    # returned (value, gap) pair is a valid bracket in log space.
-    f = linalg.as_symmetric(f_mat)
-    k = f.shape[0]
-    c = np.asarray(caps, dtype=float).ravel()
-    slack = c - np.diag(f)
-    tol_vec = 1e-12 * np.maximum(1.0, np.abs(c))
-    if np.any(slack < -tol_vec):
-        raise InfeasibleDistortion("per-coordinate caps fall below the floor diagonal")
-    slack = np.clip(slack, 0.0, None)
-    rng = np.random.default_rng(seed)
-    best_log, best_l = -math.inf, None
-    for s in range(max(1, int(starts))):
-        if s == 0:
-            l0 = np.diag(np.sqrt(slack))
-        else:
-            l0 = rng.normal(size=(k, k))
-        l_fin, cur = _sphere_ascent(f, slack, l0)
-        if cur > best_log:
-            best_log, best_l = cur, l_fin
-    z_best = linalg.as_symmetric(f + best_l @ best_l.T)
-    return best_log, _dual_gap_capped(f, c, z_best, best_log)
-
-
-def _dual_gap_capped(f, c, z, primal_log):
-    # Weak duality for max logdet(Z) over Z >= f, diag(Z) <= c: any nu >= 0
-    # and lam >= 0 (Loewner) with s = diag(nu) - lam > 0 bound the optimum
-    # above by -logdet(s) - k + nu.c - tr(lam f). The multipliers are
-    # fitted from the stationarity conditions at the candidate and then
-    # repaired into the feasible dual cone, so the gap never undercounts.
-    k = f.shape[0]
-    h = np.linalg.inv(z)
-    w = 0.5 * ((z - f) + (z - f).T)
-    wvals, wvecs = np.linalg.eigh(w)
-    top = max(float(wvals[-1]), 0.0)
-    span = wvecs[:, wvals > 1e-9 * max(top, 1e-300)]
-    if span.shape[1] == 0:
-        nu = np.diag(h).astype(float).copy()
-    else:
-        # lam @ (z - f) = 0 at an optimum, i.e. diag(nu) agrees with h on
-        # the range of z - f; least squares row by row
-        hu = h @ span
-        num = (span * hu).sum(axis=1)
-        den = (span * span).sum(axis=1)
-        nu = np.where(den > 1e-14, num / np.maximum(den, 1e-300), np.diag(h))
-    lam = np.diag(nu) - h
-    lvals, lvecs = np.linalg.eigh(0.5 * (lam + lam.T))
-    lam_pos = (lvecs * np.clip(lvals, 0.0, None)) @ lvecs.T
-    nu = np.clip(nu, 0.0, None)
-    s_mat = np.diag(nu) - lam_pos
-    s_min = float(np.linalg.eigvalsh(0.5 * (s_mat + s_mat.T))[0])
-    bump = max(0.0, -s_min) + 1e-12 * max(1.0, float(np.abs(s_mat).max()))
-    nu = nu + bump
-    s_mat = np.diag(nu) - lam_pos
-    sign, logdet_s = np.linalg.slogdet(s_mat)
-    if sign <= 0.0:
-        return math.inf
-    dual = -float(logdet_s) - k + float(nu @ c) - float((lam_pos * f).sum())
-    return max(dual - primal_log, 0.0)
 
 
 def feasible_at_rates(p: RemoteProblem, criterion: DistortionCriterion, r) -> FeasibilityReport:

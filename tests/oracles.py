@@ -165,3 +165,68 @@ def md_scan_per_point(p, criterion, r_max=8.0, points=6, tol=1e-9):
             worst = max(worst, (v2 - v1) / max(v1, 1e-300))
             pairs += 1
     return worst <= tol, worst, pairs
+
+
+def _sphere_ascent(base, slack, l0):
+    # maximize logdet(base + L L^T) with row i of L pinned to norm
+    # sqrt(slack[i]): backtracking gradient ascent with an adaptive step and
+    # row renormalization, for at most 1500 steps, stopping once three steps
+    # in a row gain less than 1e-14 relative to the value
+    tgt = np.sqrt(np.clip(np.asarray(slack, dtype=float), 0.0, None))
+
+    def renorm(l_mat):
+        nrm = np.sqrt((l_mat * l_mat).sum(axis=1))
+        fac = np.where(nrm > 0.0, tgt / np.maximum(nrm, 1e-300), 0.0)
+        return l_mat * fac[:, None]
+
+    def value(l_mat):
+        sign, logdet = np.linalg.slogdet(base + l_mat @ l_mat.T)
+        return float(logdet) if sign > 0.0 else -math.inf
+
+    l_mat = renorm(np.asarray(l0, dtype=float))
+    cur = value(l_mat)
+    step = 0.1
+    stall = 0
+    for _ in range(1500):
+        h = np.linalg.inv(base + l_mat @ l_mat.T)
+        grad = 2.0 * h @ l_mat
+        g_nrm = float(np.sqrt((grad * grad).sum()))
+        if not math.isfinite(g_nrm) or g_nrm <= 0.0:
+            break
+        grad = grad / g_nrm
+        gain = 0.0
+        for _ in range(30):
+            trial = renorm(l_mat + step * grad)
+            v = value(trial)
+            if v > cur:
+                gain = v - cur
+                l_mat, cur = trial, v
+                step = min(step * 1.6, 1e6)
+                break
+            step *= 0.5
+        else:
+            break
+        if gain < 1e-14 * max(1.0, abs(cur)):
+            stall += 1
+            if stall >= 3:
+                break
+        else:
+            stall = 0
+    return cur
+
+
+def max_det_ascent(floor_mat, caps, offset=None, starts=16, seed=0):
+    """``max logdet(Z + offset)`` over ``Z >= floor_mat`` with
+    ``diag(Z) <= caps`` by gradient ascent on a Gram factor L of
+    ``Z - floor_mat``, whose rows are pinned to the slack norms, from the
+    diagonal start and ``starts - 1`` seeded Gaussian ones. Returns the best
+    log-determinant found: a feasible value, so a lower bound on the
+    optimum."""
+    f = np.asarray(floor_mat, dtype=float)
+    base = f if offset is None else f + np.asarray(offset, dtype=float)
+    slack = np.clip(np.asarray(caps, dtype=float) - np.diag(f), 0.0, None)
+    rng = np.random.default_rng(seed)
+    best = _sphere_ascent(base, slack, np.diag(np.sqrt(slack)))
+    for _ in range(starts - 1):
+        best = max(best, _sphere_ascent(base, slack, rng.normal(size=f.shape)))
+    return best

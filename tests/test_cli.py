@@ -16,6 +16,7 @@ import pytest
 
 from rdregion import cyclic, duality, matching, regions, sumrate, waterfill
 from rdregion.cli import main
+from oracles import _limit_weighted
 from rdregion.problems import (
     MultiterminalProblem,
     RemoteProblem,
@@ -326,6 +327,36 @@ class TestMatch:
         scan = json.loads(out.read_text())["scan"]
         assert scan["holds"] is True
         assert scan["pairs"] > 0
+
+    def test_one_gamma_inverse_and_one_spectrum(self, tmp_path, monkeypatch):
+        # the thresholds and the scan of one match op share the problem's
+        # cached gamma^-1, W* and spectrum of W*
+        rng = np.random.default_rng(71)
+        m = rng.normal(size=(3, 3))
+        p = RemoteProblem(sigma_x=m @ m.T + np.eye(3), a_mat=rng.normal(size=(3, 3)),
+                          noise_vars=rng.uniform(0.5, 1.5, size=3),
+                          gamma=rng.normal(size=(3, 3)) + 2.0 * np.eye(3))
+        path = write_json(tmp_path, "remote3.json", {
+            "k": 3, "l": 3, "sigma_x": p.sigma_x.tolist(), "a": p.a_mat.tolist(),
+            "noise_vars": p.noise_vars.tolist(), "gamma": p.gamma.tolist()})
+        w_star = _limit_weighted(p)
+        d = 0.9 * matching.threshold_simplified(p)
+        inv, eigvalsh = np.linalg.inv, np.linalg.eigvalsh
+        seen = {"inv": 0, "eigvalsh": 0}
+
+        def inv_counted(a):
+            seen["inv"] += np.shape(a) == (3, 3) and np.array_equal(a, p.gamma)
+            return inv(a)
+
+        def eigvalsh_counted(a, *args, **kwargs):
+            seen["eigvalsh"] += np.shape(a) == (3, 3) and np.allclose(a, w_star, rtol=1e-12, atol=0.0)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", inv_counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_counted)
+        assert main(["match", "--input", path, "--d-sum", str(d), "--points", "3",
+                     "--output", str(tmp_path / "out.json")]) == 0
+        assert seen == {"inv": 1, "eigvalsh": 1}
 
     def test_samples_flag_is_gone(self, tmp_path):
         # the rotation threshold is exact, so there is nothing to sample

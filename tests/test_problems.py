@@ -72,6 +72,24 @@ class TestRemoteConstruction:
             )
 
 
+    def test_cached_constants_are_read_only(self):
+        p = RemoteProblem(
+            sigma_x=np.array([[2.0, 0.3], [0.3, 1.0]]),
+            a_mat=np.array([[1.0, 0.5]]),
+            noise_vars=np.array([0.5]),
+            gamma=np.array([[1.0, 0.2], [0.0, 2.0]]),
+        )
+        assert np.allclose(p.gamma_inv @ p.gamma, np.eye(2), atol=1e-15)
+        g_inv = np.linalg.inv(p.gamma)
+        w_star = g_inv.T @ (np.linalg.inv(p.sigma_x) + p.a_mat.T @ p.a_mat / 0.5) @ g_inv
+        assert np.allclose(p.limit_weighted, w_star, rtol=1e-12)
+        assert np.allclose(p.limit_spectrum, np.linalg.eigvalsh(w_star), rtol=1e-12)
+        assert p.gamma_inv is p.gamma_inv
+        for name in ("gamma_inv", "limit_weighted", "limit_spectrum"):
+            with pytest.raises(ValueError):
+                getattr(p, name)[0] = 1.0
+
+
 class TestMultiterminalConstruction:
     def test_valid_split(self):
         p = MultiterminalProblem(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rdregion import linalg, sumrate
+from rdregion import linalg, sumrate, waterfill
 from rdregion.errors import (
     InfeasibleDistortion,
     InvalidAuxRate,
@@ -352,6 +352,29 @@ class TestBoundaryBatch:
         hi = float(np.trace(np.diag([1.0, 1.6]) @ mp.sigma_y @ np.diag([1.0, 1.6])))
         assert 0.0 < row.d_lower <= row.d_upper + 1e-9 <= hi + 1e-6
         assert row.certified == (row.d_upper <= sumrate.zeta(mp.sigma_y))
+
+    def test_converse_fills_with_the_trusted_rule(self, monkeypatch):
+        # the converse trace program fills its floors with the trusted
+        # breakpoint rule, never the validating water_level, and each level
+        # has the bits water_level gives
+        public = waterfill.water_level
+        rule = sumrate._water_levels
+        public_calls, rows = [], []
+
+        def checked(floors, budget):
+            xi = rule(floors, budget)
+            for row, level in zip(floors, xi):
+                assert public(row, budget).xi == level
+            rows.append(len(floors))
+            return xi
+
+        monkeypatch.setattr(waterfill, "water_level",
+                            lambda *a: public_calls.append(1) or public(*a))
+        monkeypatch.setattr(sumrate, "_water_levels", checked)
+        mp = correlated_pair(rho=0.5, t1=0.4, t2=0.4)
+        value = sumrate._lower_at_trace(mp, np.diag([1.0, 1.6]), 1.5, 1, 0, 8.0)
+        assert 0.0 < value < math.inf
+        assert rows and not public_calls
 
     def test_validation(self):
         mp = correlated_pair()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from rdregion.problems import (
     weighted_error_covariance,
 )
 
-from oracles import water_level_scan
+from oracles import max_det_ascent, water_level_scan
 
 
 def scalar_problem():
@@ -36,6 +38,41 @@ def random_remote(rng, k, l, gamma=None):
 def sqrt_sym(m):
     vals, vecs = np.linalg.eigh(m)
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
+def logdet(m):
+    sign, val = np.linalg.slogdet(m)
+    assert sign > 0.0
+    return float(val)
+
+
+def assert_not_below_ascent(value, f, caps, offset=None):
+    # value: a log-determinant the library reached on this instance; it may
+    # not trail the Gram-factor ascent from four starts by more than 1e-9
+    # relative
+    ref = max_det_ascent(f, caps, offset, starts=4)
+    assert value >= ref - 1e-9 * max(1.0, abs(value))
+
+
+def random_floor(rng, k):
+    m = rng.normal(size=(k, k))
+    return m @ m.T + 0.2 * np.eye(k)
+
+
+def dual_value(sol, f, caps, offset):
+    # the dual function of max logdet(Z + G) over Z >= F, diag Z <= c,
+    # recomputed from the solver's multipliers alone:
+    # -logdet S - k + tr(S G) + nu.c - tr(lam F) with S = diag(nu) - lam
+    s_mat = np.diag(sol.nu) - sol.lam
+    k = f.shape[0]
+    return -logdet(s_mat) - k + np.sum(s_mat * offset) + sol.nu @ caps - np.sum(sol.lam * f)
+
+
+def assert_dual_feasible(sol):
+    lam = 0.5 * (sol.lam + sol.lam.T)
+    assert np.all(sol.nu >= 0.0)
+    assert np.linalg.eigvalsh(lam)[0] >= -1e-12 * max(1.0, np.abs(lam).max())
+    assert np.linalg.eigvalsh(np.diag(sol.nu) - lam)[0] > 0.0
 
 
 def remote_with_floor(rng, f, r):
@@ -120,6 +157,7 @@ class TestMaxDetCapped:
             z12 = min(max(0.0, f[0, 1] - half), f[0, 1] + half)
             assert np.allclose(np.diag(z), caps, atol=1e-10)
             assert np.isclose(z[0, 1], z12, atol=1e-8)
+            assert_not_below_ascent(logdet(z), f, caps)
         assert not eig_calls
 
     def test_result_dominates_floor(self):
@@ -132,17 +170,27 @@ class TestMaxDetCapped:
                 z = waterfill.max_det_capped(f, caps)
                 assert linalg.min_eig(z - f) >= -1e-10
                 assert np.all(np.diag(z) <= caps + 1e-10)
+                assert_not_below_ascent(logdet(z), f, caps)
 
     def test_infeasible_caps(self):
         f = np.array([[1.0, 0.2], [0.2, 1.0]])
         with pytest.raises(InfeasibleDistortion):
             waterfill.max_det_capped(f, [0.9, 2.0])
 
+    def test_rejects_offset_without_a_definite_base(self):
+        # logdet(Z + offset) needs floor + offset > 0 for every feasible Z
+        rng = np.random.default_rng(25)
+        f = random_floor(rng, 3)
+        for g in (-2.0 * f, -np.diag(np.diag(f))):
+            with pytest.raises(InvalidInput):
+                waterfill.max_det_capped(f, np.diag(f) + 0.5, offset=g)
+
     def test_loose_caps_reach_diagonal(self):
         # with enough slack the optimum is the diagonal cap matrix itself
         f = np.array([[1.0, 0.5], [0.5, 1.0]])
         z = waterfill.max_det_capped(f, [3.0, 3.0])
         assert np.allclose(z, np.diag([3.0, 3.0]), atol=1e-12)
+        assert_not_below_ascent(logdet(z), f, [3.0, 3.0])
 
     def test_interior_form_with_offset(self):
         # stationary point: (z + offset)^-1 diagonal with the caps binding
@@ -150,6 +198,7 @@ class TestMaxDetCapped:
         g = np.array([[1.0, 0.3], [0.3, 1.0]])
         z = waterfill.max_det_capped(f, [4.0, 4.0], offset=g)
         assert np.allclose(z, [[4.0, -0.3], [-0.3, 4.0]], atol=1e-12)
+        assert_not_below_ascent(logdet(z + g), f, [4.0, 4.0], g)
 
     def test_three_dim_certified(self):
         # instances where single-entry steps used to lock on the cone
@@ -164,17 +213,110 @@ class TestMaxDetCapped:
             p = remote_with_floor(rng, f, r)
             theta = waterfill.waterfill_det(p, VectorCrit(caps), r)
             bracket = waterfill.det_oracle(p, VectorCrit(caps), r)
-            assert bracket.err <= 1e-6 * max(1.0, bracket.value)
+            assert bracket.err <= 1e-8 * max(1.0, bracket.value)
             assert bracket.value - 1e-8 <= theta <= bracket.value + bracket.err + 1e-8
+            f_w = waterfill._weighted_floor(p, np.asarray(r))
+            assert_not_below_ascent(np.log(bracket.value) + p.logdet_gamma2, f_w, caps)
 
     def test_offset_changes_optimum(self):
         # a large offset on one coordinate shifts where the determinant
         # gains come from, but the constraints still hold
         f = np.array([[1.0, 0.8], [0.8, 1.0]])
         caps = np.array([2.0, 2.0])
-        z = waterfill.max_det_capped(f, caps, offset=np.diag([10.0, 0.0]))
+        g = np.diag([10.0, 0.0])
+        z = waterfill.max_det_capped(f, caps, offset=g)
         assert linalg.min_eig(z - f) >= -1e-10
         assert np.all(np.diag(z) <= caps + 1e-10)
+        assert_not_below_ascent(logdet(z + g), f, caps, g)
+
+
+# Newton steps per solve on the instances of test_newton_steps_are_pinned
+STEPS_PINNED = {3: 42, 5: 52, 8: 66}
+
+
+class TestMaxDetNewton:
+    """The barrier Newton solver behind max_det_capped at k >= 3 and the
+    vector branch of det_oracle, and its dual certificate."""
+
+    def test_certificate_recomputed_from_multipliers(self):
+        rng = np.random.default_rng(51)
+        for k in (2, 3, 4, 5, 8):
+            for with_offset in (False, True):
+                f = random_floor(rng, k)
+                g = random_floor(rng, k) if with_offset else np.zeros((k, k))
+                caps = np.diag(f) + rng.uniform(0.01, 1.0, size=k)
+                sol = waterfill._max_det_newton(f, g, caps - np.diag(f))
+                assert_dual_feasible(sol)
+                dual = dual_value(sol, f, caps, g)
+                assert np.isclose(dual, sol.dual, rtol=1e-9, atol=1e-9)
+                assert sol.logdet == pytest.approx(logdet(sol.z + g), abs=1e-12)
+                assert -1e-12 <= sol.dual - sol.logdet <= 1e-9
+                assert linalg.min_eig(sol.z - f) >= 0.0
+                assert np.allclose(np.diag(sol.z), caps, rtol=1e-15, atol=0.0)
+                assert_not_below_ascent(sol.logdet, f, caps, g)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_zero_slack_rows_keep_the_floor(self, k):
+        rng = np.random.default_rng(52 + k)
+        for pinned in ([0], [0, k - 1], list(range(k))):
+            f = random_floor(rng, k)
+            caps = np.diag(f) + rng.uniform(0.05, 1.0, size=k)
+            caps[pinned] = np.diag(f)[pinned]
+            sol = waterfill._max_det_newton(f, np.zeros((k, k)), caps - np.diag(f))
+            assert np.array_equal(sol.z[pinned], f[pinned])
+            assert np.array_equal(sol.z[:, pinned], f[:, pinned])
+            assert linalg.min_eig(sol.z - f) >= 0.0
+            assert_dual_feasible(sol)
+            assert -1e-12 <= sol.dual - sol.logdet <= 1e-9
+            assert_not_below_ascent(sol.logdet, f, caps)
+            z = waterfill.max_det_capped(f, caps)
+            assert logdet(z) >= sol.logdet - 1e-9
+
+    def test_tiny_slack(self):
+        rng = np.random.default_rng(55)
+        f = random_floor(rng, 4)
+        caps = np.diag(f) + np.array([1e-13, 0.5, 0.2, 1e-9])
+        sol = waterfill._max_det_newton(f, np.zeros((4, 4)), caps - np.diag(f))
+        assert_dual_feasible(sol)
+        assert -1e-12 <= sol.dual - sol.logdet <= 1e-9
+        assert linalg.min_eig(sol.z - f) >= -1e-15
+
+    def test_closed_forms_inside_the_bracket(self, monkeypatch):
+        # the k=2 clip and the stationarity shortcut never reach the solver,
+        # and each lands inside the solver's certified bracket
+        rng = np.random.default_rng(56)
+        solve = waterfill._max_det_newton
+        calls = []
+        monkeypatch.setattr(waterfill, "_max_det_newton",
+                            lambda *a: calls.append(1) or solve(*a))
+        cases = []
+        for _ in range(10):
+            f = random_floor(rng, 2)
+            cases.append((f, np.diag(f) + rng.uniform(0.05, 1.0, size=2), np.zeros((2, 2))))
+            g = random_floor(rng, 2)
+            cases.append((f, np.diag(f) + rng.uniform(0.05, 1.0, size=2), g))
+        for k in (3, 4, 6):
+            for _ in range(4):
+                # caps far above a small floor: diag(caps) - offset dominates it
+                f = 0.05 * random_floor(rng, k)
+                g = 0.1 * random_floor(rng, k)
+                cases.append((f, np.diag(f) + np.diag(g) + rng.uniform(1.0, 2.0, size=k), g))
+        for f, caps, g in cases:
+            got = logdet(waterfill.max_det_capped(f, caps, offset=g) + g)
+            assert not calls
+            sol = solve(f, g, caps - np.diag(f))
+            assert sol.logdet - 1e-12 <= got <= sol.dual + 1e-12
+
+    def test_newton_steps_are_pinned(self):
+        # a work guard in counts, not seconds: Newton steps per solve on
+        # fixed instances
+        steps = {}
+        for k in (3, 5, 8):
+            rng = np.random.default_rng(60 + k)
+            f = random_floor(rng, k)
+            caps = np.diag(f) + rng.uniform(0.01, 1.0, size=k)
+            steps[k] = waterfill._max_det_newton(f, np.zeros((k, k)), caps - np.diag(f)).steps
+        assert steps == STEPS_PINNED
 
 
 class TestWaterfillDet:
@@ -333,11 +475,18 @@ class TestDetOracle:
         cases.append((p, np.zeros(5), caps))
         for p, r, caps in cases:
             theta = waterfill.waterfill_det(p, VectorCrit(caps), r)
-            bracket = waterfill.det_oracle(p, VectorCrit(caps), r, starts=8)
+            bracket = waterfill.det_oracle(p, VectorCrit(caps), r)
             scale = max(1.0, bracket.value)
-            assert bracket.err <= 1e-5 * scale
+            assert bracket.err <= 1e-8 * scale
             assert bracket.value - 1e-8 * scale <= theta
             assert theta <= bracket.value + bracket.err + 1e-8 * scale
+            f_w = waterfill._weighted_floor(p, np.asarray(r, dtype=float))
+            assert_not_below_ascent(np.log(bracket.value) + p.logdet_gamma2, f_w, caps)
+            # the bracket is the solver's primal value and its dual bound
+            sol = waterfill._max_det_newton(f_w, np.zeros_like(f_w), caps - np.diag(f_w))
+            assert bracket.value == math.exp(sol.logdet - p.logdet_gamma2)
+            assert np.isclose(bracket.value + bracket.err, np.exp(sol.dual - p.logdet_gamma2),
+                              rtol=1e-12, atol=0.0)
 
     def test_vector_diagonal_closed_form(self):
         # diagonal floor: the capped optimum is the diagonal cap matrix
@@ -353,6 +502,21 @@ class TestDetOracle:
         bracket = waterfill.det_oracle(p, VectorCrit(caps), r)
         assert np.isclose(bracket.value, caps.prod(), rtol=1e-9)
         assert bracket.err <= 1e-8 * caps.prod()
+        f_w = waterfill._weighted_floor(p, np.asarray(r))
+        assert_not_below_ascent(np.log(bracket.value), f_w, caps)
+
+    def test_grid_size_checked_for_sum_only(self):
+        # steps counts grid points of the sum scan; other criteria ignore it
+        p = RemoteProblem(
+            sigma_x=np.diag([1.0, 2.0]), a_mat=np.eye(2), noise_vars=np.ones(2), gamma=np.eye(2)
+        )
+        r = [0.4, 0.9]
+        with pytest.raises(InvalidInput):
+            waterfill.det_oracle(p, SumCrit(5.0), r, steps=1)
+        vec = waterfill.det_oracle(p, VectorCrit([1.5, 2.5]), r, steps=1)
+        assert vec == waterfill.det_oracle(p, VectorCrit([1.5, 2.5]), r)
+        mat = waterfill.det_oracle(p, MatrixCrit(np.diag([1.5, 2.5])), r, steps=0)
+        assert mat.err == 0.0 and np.isclose(mat.value, 3.75)
 
     def test_matrix_passthrough(self):
         p = scalar_problem()
