@@ -297,11 +297,10 @@ def cmd_sumrate(args) -> int:
         caps.extend(np.full(mp.l, float(v)) for v in np.linspace(lo, hi, n))
     if not caps:
         raise _UsageError("sumrate needs --d, --sweep or --boundary")
-    lower_kw = {} if args.tol is None else {"xtol": args.tol}
     rows = []
     for idx, dv in enumerate(caps):
         upper = sumrate.sum_rate_upper(mp, dv, starts=args.starts, seed=args.seed)
-        lower = sumrate.sum_rate_lower(mp, dv, starts=args.starts, seed=args.seed, **lower_kw)
+        lower = sumrate.sum_rate_lower(mp, dv)
         rows.append(
             [idx, *map(float, dv), lower.value, upper.value, upper.value - lower.value]
         )
@@ -497,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="distortion weights >= 1 for --boundary; repeat for several probes")
     sp.add_argument("--d-iters", type=int, default=40,
                     help="bisection iterations per boundary probe (default 40)")
-    sp.add_argument("--starts", type=int, default=16, help="search restarts (default 16)")
+    sp.add_argument("--starts", type=int, default=16, help="restarts of the achievable search (default 16)")
     sp.set_defaults(func=cmd_sumrate)
 
     sp = sub.add_parser("match", parents=[common], help="matching thresholds and scan verdict")

@@ -2,14 +2,14 @@
 
 The achievable (upper) program minimizes the mutual-information objective
 ``(1/2) log det((Sigma_Y^-1 + Sigma_V(r)^-1) Sigma_Y)`` over test-channel
-rates subject to distortion caps on the posterior covariance; the
-converse (lower) program minimizes the full-set outer floor, with the
-determinant level ``max det(Sigma_d + B)`` taken over all admissible
-error covariances. Both searches are coordinate descents with multiple
-seeded starts: reported minima carry a feasibility certificate but are
-heuristic as global optima. The module also houses the sum-distortion
-matching thresholds, the two-source closed forms, and the weighted
-supporting-hyperplane boundary batches.
+rates subject to distortion caps on the posterior covariance, by a seeded
+multi-start search whose feasible minima are valid but heuristic. The
+converse (lower) program minimizes the full-set outer floor over the
+admissible error covariances; in the noise levels ``delta_l = split_l
+exp(-2 r_l)`` it is a max-det program, solved by one log-barrier Newton path
+that reports a certified dual value. The module also houses the
+sum-distortion matching thresholds, the two-source closed forms, and the
+weighted supporting-hyperplane boundary batches.
 
 Rates are in nats throughout.
 """
@@ -24,6 +24,7 @@ import numpy as np
 
 from . import linalg, optimize
 from .errors import (
+    DegenerateInput,
     InfeasibleDistortion,
     InvalidAuxRate,
     InvalidCorrelation,
@@ -32,7 +33,7 @@ from .errors import (
     InvalidWeights,
 )
 from .problems import MultiterminalProblem, as_rates, mt_posterior_precision
-from .waterfill import _max_det_capped, _water_levels, max_det_capped
+from .waterfill import _path_step, max_det_capped
 
 __all__ = [
     "SumRateResult",
@@ -207,12 +208,11 @@ def _upper_bisect(syi, d):
 
 
 # ---------------------------------------------------------------------------
-# shared descent engine for the converse programs
+# coordinate descent for the achievable trace program
 
-# The feasible rate sets below are upward closed (raising any r_l keeps
-# feasibility), so each coordinate step first locates the smallest
-# feasible value by bisection and then golden-sections the objective on
-# the feasible segment.
+# The feasible rate sets are upward closed, so each coordinate step
+# bisects for the smallest feasible value and then golden-sections the
+# objective on the feasible segment.
 
 
 def _descend(f, feas, start, r_hi, step_tol=1e-7, xtol=1e-6, max_sweeps=60):
@@ -263,82 +263,155 @@ def _descend(f, feas, start, r_hi, step_tol=1e-7, xtol=1e-6, max_sweeps=60):
     return rates, best
 
 
-def _multi_start(f, feas, base, l, starts, seed, r_hi, jitter=1.5, **kw):
-    rng = np.random.default_rng(seed)
-    best_r, best_v = None, math.inf
-    for s in range(max(1, int(starts))):
-        start = np.asarray(base, dtype=float).copy()
-        if s > 0:
-            start = start + rng.uniform(0.0, jitter, size=l)
-        bumps = 0
-        while not feas(start) and bumps < 10:
-            start = start + 0.5
-            bumps += 1
-        if not feas(start):
-            continue
-        r_opt, v = _descend(f, feas, start, r_hi, **kw)
-        if v < best_v:
-            best_r, best_v = r_opt, v
-    return best_r, best_v
-
-
 # ---------------------------------------------------------------------------
 # converse (lower) program
 
 
-def sum_rate_lower(mp: MultiterminalProblem, d_vec, starts: int = 16, seed: int = 0,
-                   r_hi: float = 8.0, step_tol: float = 1e-7,
-                   xtol: float = 1e-6) -> SumRateResult:
+@dataclass(frozen=True)
+class _Converse:
+    """A strictly feasible point (``rates``, ``sigma``) of the converse
+    program and the dual function ``value`` at multipliers ``z``, ``lam``,
+    ``mu``, below the optimum. ``steps`` counts Newton steps."""
+
+    value: float
+    rates: np.ndarray
+    sigma: np.ndarray
+    z: np.ndarray
+    lam: np.ndarray
+    mu: np.ndarray
+    steps: int
+
+
+def _converse(mp: MultiterminalProblem, rows, rhs) -> _Converse:
+    # The converse program in the noise levels delta_l = split_l e^(-2 r_l)
+    # and the error covariance Sigma, with D = diag(delta) and X = B - D:
+    #   min (1/2)(sum log(split/delta) + logdet(Sigma_Y + B) - logdet(Sigma + B))
+    #   s.t. N = [[X, D], [D, Sigma - D]] >= 0, tr(P_j Sigma) <= rhs_j, delta <= split.
+    # N's Schur complement is Y = Sigma - floor(r), floor = (D^-1 - B^-1)^-1
+    # = D + D X^-1 D as Sigma_Y^-1 = Sigma_N^-1 - B^-1: a max-det program
+    # (Vandenberghe, Boyd & Wu, SIAM J. Matrix Anal. Appl. 19(2), 1998). N
+    # is congruent to [[X, B], [B, Sigma + B]] but keeps B, large for a split
+    # near the boundary, out of the block that goes singular at the optimum.
+    # Stage t minimizes t (-sum log delta - logdet(Sigma + B)) - logdet N
+    # - sum log(rhs - tr(P Sigma)) - sum log(split - delta), nu = 3L + m, by
+    # Newton steps on delta and Sigma's upper triangle under waterfill's
+    # stage rule; W = N^-1 comes from X^-1 and Y^-1. The certificate takes
+    # the last step's multipliers Z = (W - W dN W) / 2t, lam = (1/s + a dx
+    # / s^2) / 2t on the row slacks s and mu alike, projected onto the cones.
+    # The Lagrangian's minimum is attained at delta = 1/2c, Sigma + B =
+    # C^-1 / 2, with c = diag(Z11 - Z12 - Z21 + Z22) + mu, C = sum lam P - Z22.
+    l = mp.l
+    split, b = mp.split_sigma_n, mp.offset
+    iu, ju = np.triu_indices(l)
+    # along E_a = e_i e_j^T + e_j e_i^T (e_i e_i^T if i = j), -logdet V^-1
+    # has gradient -r2g_a V_ij and Hessian gg_ab (V_ik V_jl + V_il V_jk)
+    r2g = np.where(iu == ju, 1.0, 2.0)
+    gg = 0.5 * np.outer(r2g, r2g)
+    quad = np.stack((iu[:, None] * l + iu, ju[:, None] * l + ju, iu[:, None] * l + ju, ju[:, None] * l + iu))
+    a = rows[:, iu, ju] * r2g  # a @ Sigma[iu, ju] = tr(P Sigma)
+    nu = 3 * l + rhs.shape[0]
+    n = l + iu.shape[0]
+    # start at delta = theta split with theta quartered until the floor
+    # clears every row, and Sigma halfway between floor and rows
+    theta = 0.25
+    while True:
+        delta = theta * split
+        xd = np.linalg.inv(b - np.diag(delta)) * delta
+        floor = np.diag(delta) + delta[:, None] * xd
+        room = rhs - a @ floor[iu, ju]
+        if np.all(room > 0.0):
+            break
+        theta *= 0.25
+    sigma = floor + 0.5 * float(np.min(room / np.trace(rows, axis1=1, axis2=2))) * np.eye(l)
+    t, stage, steps = 1.0, 0, 0
+    mats = np.empty((2, l, l))  # X = B - D and Sigma + B, then Y^-1 and (Sigma + B)^-1
+    hess = np.empty((n, n))
+    while True:
+        mats[0] = b
+        mats[0].flat[:: l + 1] -= delta
+        np.add(sigma, b, out=mats[1])
+        xi, mats[1] = np.linalg.inv(mats)
+        xd = xi * delta
+        y = sigma - delta[:, None] * xd
+        y.flat[:: l + 1] -= delta
+        # Y^-1 by its spectrum keeps the rounding of Y's small eigenvalues on
+        # their eigenvectors; an LU inverse spreads it and stalls the path
+        ev, u = np.linalg.eigh(y)
+        mats[0] = w22 = (u / ev) @ u.T
+        e = xd + np.eye(l)
+        low = w22 @ e.T
+        omega = xi + e @ low
+        up = split - delta
+        slack = rhs - a @ sigma[iu, ju]
+        v = np.take(mats.reshape(2, -1), quad, axis=1)
+        h = v[:, 0] * v[:, 1] + v[:, 2] * v[:, 3]
+        hess[l:, l:] = gg * (h[0] + t * h[1]) + (a.T / slack**2) @ a
+        grad = np.concatenate((omega.diagonal() - t / delta + 1.0 / up,
+                               (1.0 / slack) @ a - r2g * (mats[0, iu, ju] + t * mats[1, iu, ju])))
+        np.multiply(omega, omega, out=hess[:l, :l])
+        hess.flat[: l * (n + 1) : n + 1] += t / delta**2 + 1.0 / up**2
+        hess[l:, :l] = -r2g[:, None] * low[iu] * low[ju]
+        hess[:l, l:] = hess[l:, :l].T
+        dx = -np.linalg.solve(hess, grad)
+        dec2 = -float(grad @ dx)
+        rule = _path_step(dec2, t, stage, nu)
+        if rule is None:
+            break
+        step, t, stage = rule
+        delta = delta + step * dx[:l]
+        sigma[iu, ju] += step * dx[l:]
+        sigma[ju, iu] = sigma[iu, ju]
+        steps += 1
+    w12 = -xd @ w22
+    w = np.block([[xi - w12 @ xd.T, w12], [w12.T, w22]])
+    d_delta = np.diag(dx[:l])
+    d_sigma = np.zeros((l, l))
+    d_sigma[iu, ju] = d_sigma[ju, iu] = dx[l:]
+    d_n = np.block([[-d_delta, d_delta], [d_delta, d_sigma - d_delta]])
+    z = (w - w @ d_n @ w) / (2.0 * t)
+    ev, vec = np.linalg.eigh(0.5 * (z + z.T))
+    z = (vec * np.maximum(ev, 0.0)) @ vec.T
+    z = 0.5 * (z + z.T)
+    lam = np.maximum((1.0 / slack + (a @ dx[l:]) / slack**2) / (2.0 * t), 0.0)
+    mu = np.maximum((1.0 / up + dx[:l] / up**2) / (2.0 * t), 0.0)
+    z11, z22 = z[:l, :l], z[l:, l:]
+    c = np.diag(z11 - z[:l, l:] - z[l:, :l] + z22) + mu
+    cmat = np.tensordot(lam, rows, 1) - z22
+    if not (np.all(c > 0.0) and np.linalg.eigvalsh(cmat)[0] > 0.0):
+        raise DegenerateInput("converse multipliers leave the Lagrangian unbounded below")
+    logs = float(np.log(split).sum()) + mp.logdet_sigma_y_offset
+    value = 0.5 * (float(np.log(2.0 * c).sum()) + 2.0 * l + logs + np.linalg.slogdet(2.0 * cmat)[1])
+    value -= float(((cmat + z11) * b).sum() + lam @ rhs + mu @ split)
+    return _Converse(value=value, rates=0.5 * np.log(split / delta), sigma=sigma, z=z,
+                     lam=lam, mu=mu, steps=steps)
+
+
+def sum_rate_lower(mp: MultiterminalProblem, d_vec) -> SumRateResult:
     """Converse sum rate under per-coordinate distortion caps.
 
     Minimizes ``sum_l r_l + (1/2) log(det(Sigma_Y + B) / det(Sigma_d + B))``
     over rates r >= 0 and error covariances ``Sigma_d`` dominating the
     posterior floor with ``diag(Sigma_d) <= d_vec``, where ``B`` is the
-    layout-transform offset. The inner determinant maximization is
-    :func:`rdregion.waterfill.max_det_capped` (closed form for two
-    encoders, a certified barrier Newton solve above that); the outer
-    search over rates is seeded multi-start coordinate descent, so
-    the reported minimum is a valid bound but only a heuristic global
-    optimum. The value is clamped at zero.
+    layout-transform offset. In the noise levels ``delta_l = split_l
+    exp(-2 r_l)`` this is a max-det program, solved by one log-barrier
+    Newton path. The value, clamped at zero, is the dual function at
+    explicit multipliers: a lower bound on the optimum by weak duality, and
+    within 1e-9 of it. ``rates`` is the path's strictly feasible end point,
+    ``cov`` :func:`rdregion.waterfill.max_det_capped` at its floor.
     """
     d = _caps(mp, d_vec)
-    b = mp.offset
-    log_syb = mp.logdet_sigma_y_offset
-    tol_vec = 1e-12 * np.maximum(1.0, np.abs(d))
-
-    def floor_at(rates):
-        return linalg.inv_pd(mt_posterior_precision(mp, rates))
-
-    def feas(rates):
-        # same subtraction as the cap check inside max_det_capped, so the
-        # two tests agree to the bit even when caps sit on the tolerance edge
-        return bool(np.all(d - np.diag(floor_at(rates)) >= -tol_vec))
-
-    def f(rates):
-        fl = floor_at(rates)
-        slack = d - np.diag(fl)
-        if np.any(slack < -tol_vec):
-            return math.inf
-        z = _max_det_capped(fl, d, b, np.clip(slack, 0.0, None))
-        return 0.5 * (log_syb - linalg.logdet_pd(z + b)) + float(rates.sum())
-
-    upper = sum_rate_upper(mp, d, starts=min(int(starts), 4), seed=seed)
-    base = upper.rates
-    if not feas(base):
-        base = upper.rates + 1e-7
-    best_r, best_v = _multi_start(f, feas, base, mp.l, starts, seed, r_hi,
-                                  step_tol=step_tol, xtol=xtol)
-    if best_r is None:
-        raise InfeasibleDistortion("no feasible rate vector found for the caps")
-    z = max_det_capped(floor_at(best_r), d, offset=b)
-    return SumRateResult(value=max(0.0, best_v), rates=best_r, cov=z)
+    sol = _converse(mp, np.eye(mp.l)[:, None] * np.eye(mp.l)[:, :, None], d)
+    floor = linalg.inv_pd(mt_posterior_precision(mp, sol.rates))
+    cov = max_det_capped(floor, d, offset=mp.offset)
+    return SumRateResult(value=max(0.0, sol.value), rates=sol.rates, cov=cov)
 
 
 def sum_rate_bounds(mp: MultiterminalProblem, d_vec, starts: int = 16,
-                    seed: int = 0, r_hi: float = 8.0) -> SumRateBounds:
-    """Both sum-rate bounds and their arguments for one cap vector."""
+                    seed: int = 0) -> SumRateBounds:
+    """Both sum-rate bounds and their arguments for one cap vector;
+    ``starts`` and ``seed`` drive the achievable search."""
     up = sum_rate_upper(mp, d_vec, starts=starts, seed=seed)
-    lo = sum_rate_lower(mp, d_vec, starts=starts, seed=seed, r_hi=r_hi)
+    lo = sum_rate_lower(mp, d_vec)
     return SumRateBounds(
         lower=lo.value,
         upper=up.value,
@@ -347,43 +420,6 @@ def sum_rate_bounds(mp: MultiterminalProblem, d_vec, starts: int = 16,
         argmin_sigma_lower=lo.cov,
         gap=up.value - lo.value,
     )
-
-
-def _delta_form_lower(mp: MultiterminalProblem, d_vec, starts: int = 8, seed: int = 0,
-                      r_hi: float = 8.0) -> float:
-    # Equivalent reparametrization of the converse program used for
-    # cross-validation: the floor is recovered from per-encoder noise
-    # levels delta_l = split_l * exp(-2 u_l) through the offset inverse,
-    # floor = (diag(1/delta) - B^-1)^-1, and the rate penalty is
-    # sum_l (1/2) log(split_l / delta_l) = sum_l u_l.
-    d = _caps(mp, d_vec)
-    b = mp.offset
-    binv = linalg.inv_pd(b)
-    log_syb = mp.logdet_sigma_y_offset
-    tol_vec = 1e-12 * np.maximum(1.0, np.abs(d))
-
-    def floor_at(u):
-        delta_inv = np.exp(2.0 * np.asarray(u, dtype=float)) / mp.split_sigma_n
-        return linalg.inv_pd(np.diag(delta_inv) - binv)
-
-    def feas(u):
-        return bool(np.all(d - np.diag(floor_at(u)) >= -tol_vec))
-
-    def f(u):
-        fl = floor_at(u)
-        slack = d - np.diag(fl)
-        if np.any(slack < -tol_vec):
-            return math.inf
-        z = _max_det_capped(fl, d, b, np.clip(slack, 0.0, None))
-        return 0.5 * (log_syb - linalg.logdet_pd(z + b)) + float(np.sum(u))
-
-    base = sum_rate_upper(mp, d, starts=4, seed=seed).rates
-    if not feas(base):
-        base = base + 1e-7
-    _, best_v = _multi_start(f, feas, base, mp.l, starts, seed, r_hi)
-    if math.isinf(best_v):
-        raise InfeasibleDistortion("no feasible noise levels found for the caps")
-    return max(0.0, best_v)
 
 
 # ---------------------------------------------------------------------------
@@ -461,56 +497,6 @@ def _upper_at_trace(mp, gamma_eff, budget, starts, seed, r_hi, r_cap=12.0,
     return best, best_rates
 
 
-def _lower_at_trace(mp, gamma_eff, d, starts, seed, r_hi, r_cap=12.0,
-                    xtol=1e-4, step_tol=1e-6, hint=None):
-    # min over r of the full-set outer floor with the determinant level
-    # water-filled under the weighted-trace cap; +inf when unreachable.
-    # ``hint`` seeds the descent (typically the achievable program's argmin,
-    # where the two objectives coincide on an active trace constraint).
-    b = mp.offset
-    budget = d + float(np.trace(gamma_eff @ b @ gamma_eff.T))
-    tol = 1e-12 * max(1.0, abs(budget))
-    log_syb = mp.logdet_sigma_y_offset
-    log_ge2 = 2.0 * np.linalg.slogdet(gamma_eff)[1]
-    l = mp.l
-
-    def floors_of(rates):
-        fl = linalg.inv_pd(mt_posterior_precision(mp, rates))
-        w = gamma_eff @ (fl + b) @ gamma_eff.T
-        return np.linalg.eigvalsh(0.5 * (w + w.T))
-
-    def feas(rates):
-        return budget - float(floors_of(rates).sum()) >= -tol
-
-    def f(rates):
-        floors = floors_of(rates)
-        total = float(floors.sum())
-        if budget - total < -tol:
-            return math.inf
-        # trusted rule: the floors are a PD spectrum and the budget is internal
-        xi = _water_levels(floors[None, :], max(budget, total))[0]
-        log_w = float(np.log(np.maximum(floors, xi)).sum()) - log_ge2
-        return float(np.sum(rates)) + 0.5 * (log_syb - log_w)
-
-    if not feas(np.full(l, r_cap)):
-        return math.inf
-    best_v = math.inf
-    if hint is not None and feas(np.asarray(hint, dtype=float)):
-        _, best_v = _descend(f, feas, np.asarray(hint, dtype=float), r_hi,
-                             step_tol=step_tol, xtol=xtol)
-    if feas(np.zeros(l)):
-        base = np.zeros(l)
-    else:
-        t_eq = optimize.bisect_threshold(
-            lambda t: feas(np.full(l, t)), 0.0, r_cap, iters=50
-        )
-        base = np.full(l, t_eq)
-    _, multi_v = _multi_start(f, feas, base, l, starts, seed, r_hi,
-                              step_tol=step_tol, xtol=xtol)
-    best_v = min(best_v, multi_v)
-    return math.inf if math.isinf(best_v) else max(0.0, best_v)
-
-
 def boundary_batch(mp: MultiterminalProblem, rate_budget, weight_grid,
                    starts: int = 2, seed: int = 0, d_iters: int = 40,
                    r_hi: float = 8.0) -> list[BoundaryRow]:
@@ -520,9 +506,11 @@ def boundary_batch(mp: MultiterminalProblem, rate_budget, weight_grid,
     and converse sum-rate curves under the weighted distortion
     ``sum_l gamma_l^2 D_l`` are inverted by bisection on the distortion at
     the given total rate, yielding one supporting-hyperplane probe
-    ``(gamma, D_upper, D_lower)``. The probe is certified as a boundary
-    contact when ``D_upper <= zeta(sigma_y)``, the level below which the
-    two curves provably agree.
+    ``(gamma, D_upper, D_lower)``. ``starts``, ``seed`` and ``r_hi`` drive
+    the achievable search; each converse value is one certified barrier
+    solve with a weighted-trace row, so ``D_lower <= D_upper`` by weak
+    duality. The probe is certified as a boundary contact when ``D_upper <=
+    zeta(sigma_y)``, the level below which the two curves provably agree.
     """
     budget = np.asarray(rate_budget, dtype=float).ravel()
     if budget.size == 1:
@@ -541,17 +529,16 @@ def boundary_batch(mp: MultiterminalProblem, rate_budget, weight_grid,
             raise InvalidWeights("weights must be finite and >= 1")
         ge = np.diag(w) @ mp.gamma
         hi = float(np.trace(ge @ mp.sigma_y @ ge.T))
+        trace_row = (ge.T @ ge)[None]
 
         def pred_u(dd, ge=ge):
             return _upper_at_trace(mp, ge, dd, starts, seed, r_hi)[0] <= r_total
 
-        def pred_l(dd, ge=ge):
-            # seed the converse search at the achievable argmin so the
-            # converse never reports a larger distortion than the
-            # achievable program at the same rate
-            v_u, r_u = _upper_at_trace(mp, ge, dd, starts, seed, r_hi)
-            v_l = _lower_at_trace(mp, ge, dd, starts, seed, r_hi, hint=r_u)
-            return v_l <= r_total + 1e-9
+        def pred_l(dd, trace_row=trace_row):
+            # no error covariance meets a nonpositive weighted distortion
+            if dd <= 0.0:
+                return False
+            return _converse(mp, trace_row, np.array([dd])).value <= r_total + 1e-9
 
         d_u = optimize.bisect_threshold(pred_u, 0.0, hi, iters=d_iters)
         d_l = optimize.bisect_threshold(pred_l, 0.0, d_u, iters=d_iters)

@@ -171,7 +171,9 @@ def _max_det_capped(f, c, g_off, slack) -> np.ndarray:
     diag_full = c + np.diag(g_off)
     if np.all(diag_full > 0.0):
         z_int = np.diag(diag_full) - g_off
-        if linalg.loewner_leq(f, z_int):
+        # loewner_leq's test and tolerance, on exactly symmetric operands
+        gap = z_int - f
+        if np.linalg.eigvalsh(gap)[0] >= -1e-9 * max(1.0, float(np.abs(gap).max())):
             return z_int
     return _max_det_newton(f, g_off, slack).z
 
@@ -190,8 +192,24 @@ class _MaxDet:
     steps: int
 
 
-_GAP = 1e-10  # the barrier path stops once |P| / t reaches this gap
+_GAP = 1e-10  # a barrier path stops once nu / t reaches this gap
 _MU = 50.0  # barrier weight growth per stage
+
+
+def _path_step(dec2, t, stage, nu):
+    # Stage rule of the barrier paths here and in sumrate: None once the
+    # path ends, else the step and the next (t, stage). Steps are damped to
+    # 1/(1 + lambda), lambda^2 = dec2, while lambda >= 1/4, so they stay in
+    # the Dikin ellipsoid. A stage ends at lambda <= 1/2 (lambda^2 <= 2e-8
+    # in the last) or after 40 steps; t grows by _MU until nu / t <= _GAP.
+    last = nu / t <= _GAP
+    if last and (dec2 <= 2e-8 or stage == 40):
+        return None
+    step = 1.0 if dec2 < 0.0625 else 1.0 / (1.0 + math.sqrt(dec2))
+    stage += 1
+    if not last and (dec2 <= 0.25 or stage == 40):
+        t, stage = min(_MU * t, nu / _GAP), 0
+    return step, t, stage
 
 
 def _max_det_newton(f, g_off, slack) -> _MaxDet:
@@ -200,14 +218,11 @@ def _max_det_newton(f, g_off, slack) -> _MaxDet:
     # block P carries unknowns, against the Schur complement A_c of A's
     # pinned block: Y_P = R C R with R = diag(sqrt(slack_P)) and C a
     # correlation matrix. Stage t minimizes -t logdet(A_c + Y_P) - logdet C
-    # over C's off-diagonal entries by Newton steps, damped to
-    # 1/(1 + lambda) while the decrement lambda >= 1/4; a step inside the
-    # Dikin ellipsoid keeps C in the cone, so no objective values are
-    # compared. A stage ends at lambda <= 1/2 (lambda^2 <= 2e-8 in the last)
-    # or after 40 steps; t grows by _MU until |P| / t <= _GAP. The Newton
-    # system lives in the frame of C = L L^T, never in C^-1, whose error
-    # grows with t: with Q = R X_c^-1 R, L^T Q L = U diag(sig) U^T and
-    # W = L U, the step is D = W H W^T for H = (diag(1 + t sig) -
+    # over C's off-diagonal entries by Newton steps under _path_step's rule,
+    # with nu = |P|; a step inside the Dikin ellipsoid keeps C in the cone.
+    # The Newton system lives in the frame of C = L L^T, never in C^-1,
+    # whose error grows with t: with Q = R X_c^-1 R, L^T Q L = U diag(sig)
+    # U^T and W = L U, the step is D = W H W^T for H = (diag(1 + t sig) -
     # W^T diag(w) W) / (1 + t sig sig^T), where the multiplier w of the
     # unit diagonal solves diag(D) = 0.
     k = f.shape[0]
@@ -236,15 +251,13 @@ def _max_det_newton(f, g_off, slack) -> _MaxDet:
         delta = 0.5 * (delta + delta.T)
         np.fill_diagonal(delta, 0.0)
         dec2 = float((om * dhat * dhat).sum())
-        last = q / t <= _GAP
-        if last and (dec2 <= 2e-8 or stage == 40):
+        rule = _path_step(dec2, t, stage, q)
+        if rule is None:
             break
-        step = 1.0 if dec2 < 0.0625 else 1.0 / (1.0 + math.sqrt(dec2))
+        step, t, stage = rule
         corr = corr + step * delta
         low = np.linalg.cholesky(corr)
-        steps, stage = steps + 1, stage + 1
-        if not last and (dec2 <= 0.25 or stage == 40):
-            t, stage = min(_MU * t, q / _GAP), 0
+        steps += 1
     # The certificate: the last Newton system's own dual estimate
     # lam_P = R^-1 (diag(w) / t - Q + Q D Q) R^-1 = (R W)^-T (I - H) (R W)^-1 / t
     # is >= 0 while lambda < 1 and leaves S = X^-1 - offdiag(E) on P, with

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 
+from rdregion import linalg
 from rdregion.errors import InfeasibleBudget, InfeasibleDistortion
-from rdregion.problems import SumCrit
-from rdregion.waterfill import waterfill_det
+from rdregion.problems import SumCrit, mt_posterior_precision
+from rdregion.sumrate import _descend, sum_rate_upper
+from rdregion.waterfill import _max_det_capped, waterfill_det
 
 
 def min_weighted_sum_lp(bounds, l, weights, tol=1e-9):
@@ -230,3 +232,69 @@ def max_det_ascent(floor_mat, caps, offset=None, starts=16, seed=0):
     for _ in range(starts - 1):
         best = max(best, _sphere_ascent(base, slack, rng.normal(size=f.shape)))
     return best
+
+
+def sum_rate_lower_search(mp, d_vec, starts=16, seed=0, r_hi=8.0, step_tol=1e-7, xtol=1e-6):
+    """The converse sum rate of ``rdregion.sumrate.sum_rate_lower`` by a
+    seeded multi-start coordinate search over the rates: the objective is
+    ``sum(r) + (1/2) log(det(Sigma_Y + B) / det(Z + B))`` with Z the capped
+    max-det covariance over the floor at r. The first start is the
+    achievable argmin, the others add uniform jitter in [0, 1.5); each
+    start runs ``rdregion.sumrate._descend``. Returns the best value found
+    (clamped at zero): a local minimum, so it can only overstate the
+    converse optimum."""
+    d = np.asarray(d_vec, dtype=float)
+    b = mp.offset
+    tol_vec = 1e-12 * np.maximum(1.0, np.abs(d))
+
+    def floor_at(rates):
+        return linalg.inv_pd(mt_posterior_precision(mp, rates))
+
+    def feas(rates):
+        return bool(np.all(d - np.diag(floor_at(rates)) >= -tol_vec))
+
+    def f(rates):
+        fl = floor_at(rates)
+        slack = d - np.diag(fl)
+        if np.any(slack < -tol_vec):
+            return math.inf
+        z = _max_det_capped(fl, d, b, np.clip(slack, 0.0, None))
+        return 0.5 * (mp.logdet_sigma_y_offset - linalg.logdet_pd(z + b)) + float(rates.sum())
+
+    base = sum_rate_upper(mp, d, starts=min(int(starts), 4), seed=seed).rates
+    if not feas(base):
+        base = base + 1e-7
+    rng = np.random.default_rng(seed)
+    best = math.inf
+    for s in range(max(1, int(starts))):
+        start = base.copy() if s == 0 else base + rng.uniform(0.0, 1.5, size=mp.l)
+        bumps = 0
+        while not feas(start) and bumps < 10:
+            start = start + 0.5
+            bumps += 1
+        if feas(start):
+            best = min(best, _descend(f, feas, start, r_hi, step_tol=step_tol, xtol=xtol)[1])
+    if math.isinf(best):
+        raise InfeasibleDistortion("no feasible rate vector found for the caps")
+    return max(0.0, best)
+
+
+def trace_converse_objective(mp, gamma_eff, d, rates):
+    """The converse sum-rate objective at fixed rates under the weighted
+    distortion ``tr(G Sigma_d G^T) <= d``, G = ``gamma_eff``: ``sum(r) +
+    (1/2)(logdet(Sigma_Y + B) - max logdet(Sigma_d + B))`` with the max
+    over ``Sigma_d`` dominating the floor at r, by water-filling the
+    eigenvalues of ``G (floor + B) G^T`` under the budget ``d + tr(G B
+    G^T)`` with :func:`water_level_scan`. Returns inf when the floor alone
+    exceeds the budget."""
+    rates = np.asarray(rates, dtype=float)
+    b = mp.offset
+    budget = d + float(np.trace(gamma_eff @ b @ gamma_eff.T))
+    fl = np.linalg.inv(mt_posterior_precision(mp, rates))
+    w = gamma_eff @ (fl + b) @ gamma_eff.T
+    floors = np.linalg.eigvalsh(0.5 * (w + w.T))
+    if floors.sum() > budget:
+        return math.inf
+    xi = water_level_scan(floors, budget)
+    log_w = float(np.log(np.maximum(floors, xi)).sum()) - 2.0 * np.linalg.slogdet(gamma_eff)[1]
+    return float(rates.sum()) + 0.5 * (mp.logdet_sigma_y_offset - log_w)

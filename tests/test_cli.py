@@ -211,7 +211,7 @@ class TestSumrate:
         mp = diag_problem()
         for idx, row in enumerate(rows):
             dv = np.full(2, np.linspace(0.4, 0.8, 3)[idx])
-            assert float(row[3]) == sumrate.sum_rate_lower(mp, dv, starts=2, seed=0).value
+            assert float(row[3]) == sumrate.sum_rate_lower(mp, dv).value
             assert float(row[4]) == sumrate.sum_rate_upper(mp, dv, starts=2, seed=0).value
             assert abs(float(row[4]) - float(row[3])) <= 1e-9
 

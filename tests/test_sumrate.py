@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rdregion import linalg, sumrate, waterfill
+from rdregion import cyclic, linalg, sumrate, waterfill
 from rdregion.errors import (
     InfeasibleDistortion,
     InvalidAuxRate,
@@ -13,6 +13,9 @@ from rdregion.errors import (
     InvalidWeights,
 )
 from rdregion.problems import MultiterminalProblem, mt_posterior_precision
+
+from conftest import tight_split_pair
+from oracles import sum_rate_lower_search, trace_converse_objective
 
 
 def correlated_pair(s1=1.0, s2=1.0, rho=0.5, t1=0.3, t2=0.3):
@@ -116,65 +119,182 @@ class TestSumRateUpper:
             sumrate.sum_rate_upper(mp, [0.4, -0.1])
 
 
+def unit_rows(l):
+    rows = np.zeros((l, l, l))
+    rows[np.arange(l), np.arange(l), np.arange(l)] = 1.0
+    return rows
+
+
+def dual_value(mp, rows, rhs, sol):
+    # the converse dual function, recomputed from the solver's multipliers
+    # after checking that they qualify: Z >= 0 (Loewner), lam >= 0, mu >= 0,
+    # c > 0 and C > 0
+    l = mp.l
+    z = sol.z
+    assert np.array_equal(z, z.T)
+    assert np.linalg.eigvalsh(z)[0] >= -1e-12 * max(1.0, np.abs(z).max())
+    assert np.all(sol.lam >= 0.0) and np.all(sol.mu >= 0.0)
+    c = np.diag(z[:l, :l] - z[:l, l:] - z[l:, :l] + z[l:, l:]) + sol.mu
+    cmat = np.einsum("j,jab->ab", sol.lam, rows) - z[l:, l:]
+    assert np.all(c > 0.0)
+    assert np.linalg.eigvalsh(cmat)[0] > 0.0
+    b = mp.offset
+    return (0.5 * np.sum(1.0 + np.log(2.0 * c)) + 0.5 * l
+            + 0.5 * np.linalg.slogdet(2.0 * cmat)[1]
+            - np.sum((cmat + z[:l, :l]) * b) - sol.lam @ rhs - sol.mu @ mp.split_sigma_n
+            + 0.5 * (np.log(mp.split_sigma_n).sum() + np.linalg.slogdet(mp.sigma_y + b)[1]))
+
+
+def three_source():
+    rng = np.random.default_rng(31)
+    m = rng.normal(size=(3, 3))
+    sy = m @ m.T + np.eye(3)
+    split = 0.5 * np.linalg.eigvalsh(sy)[0] * np.ones(3)
+    mp = MultiterminalProblem(sigma_y=sy, split_sigma_n=split, gamma=np.eye(3))
+    return mp, 0.4 * np.diag(sy)
+
+
+# The TestSumRateLower instances, as (problem, caps)
+LOWER_CASES = [
+    (tight_pair(1.3, 0.8, 0.7), [0.5 * 1.3**2, 0.6 * 0.8**2]),
+    (correlated_pair(1.3, 0.8, 0.7, 0.1, 0.1), [0.5 * 1.3**2, 0.6 * 0.8**2]),
+    (diagonal_pair(), [0.5, 1.0]),
+    (correlated_pair(rho=0.6), [1.5, 1.5]),
+    (tight_pair(1.1, 0.9, 0.5), [0.4 * 1.1**2, 0.7 * 0.9**2]),
+    (correlated_pair(1.2, 0.9, 0.55, 0.25, 0.3), [0.5, 0.45]),
+    (correlated_pair(rho=0.6, t1=0.35, t2=0.3), [0.5, 0.45]),
+]
+
+
 class TestSumRateLower:
     def test_equals_upper_at_tight_split(self):
         mp = tight_pair(1.3, 0.8, 0.7)
         d = [0.5 * 1.3**2, 0.6 * 0.8**2]
         up = sumrate.sum_rate_upper(mp, d)
-        lo = sumrate.sum_rate_lower(mp, d, starts=2)
-        assert abs(up.value - lo.value) <= 1e-9
+        lo = sumrate.sum_rate_lower(mp, d)
+        assert 0.0 <= up.value - lo.value <= 1e-9
 
     def test_strictly_below_at_small_split(self):
         # small noise splits leave converse slack; guards that the converse
-        # search is a genuinely different program from the achievable one
+        # is a genuinely different program from the achievable one
         mp = correlated_pair(1.3, 0.8, 0.7, 0.1, 0.1)
         d = [0.5 * 1.3**2, 0.6 * 0.8**2]
         up = sumrate.sum_rate_upper(mp, d)
-        lo = sumrate.sum_rate_lower(mp, d, starts=3)
+        lo = sumrate.sum_rate_lower(mp, d)
         assert up.value - lo.value >= 0.01
 
     def test_diagonal_collapse(self):
         mp = diagonal_pair()
         d = [0.5, 1.0]
         want = 0.5 * math.log(2.0 / 0.5) + 0.5 * math.log(3.0 / 1.0)
-        lo = sumrate.sum_rate_lower(mp, d, starts=3)
+        lo = sumrate.sum_rate_lower(mp, d)
         assert np.isclose(lo.value, want, atol=1e-9)
 
     def test_zero_at_loose_caps(self):
         mp = correlated_pair(rho=0.6)
-        lo = sumrate.sum_rate_lower(mp, 1.5 * np.diag(mp.sigma_y), starts=2)
+        lo = sumrate.sum_rate_lower(mp, 1.5 * np.diag(mp.sigma_y))
         assert lo.value == 0.0
 
     def test_cov_certificate(self):
         mp = tight_pair(1.1, 0.9, 0.5)
         d = np.array([0.4 * 1.1**2, 0.7 * 0.9**2])
-        lo = sumrate.sum_rate_lower(mp, d, starts=2)
+        lo = sumrate.sum_rate_lower(mp, d)
         assert np.all(np.diag(lo.cov) <= d + 1e-9)
         floor = linalg.inv_sym(mt_posterior_precision(mp, lo.rates))
         assert linalg.loewner_leq(floor, lo.cov)
 
-    def test_delta_form_agreement(self):
-        mp = correlated_pair(1.2, 0.9, 0.55, 0.25, 0.3)
-        d = [0.5, 0.45]
-        lo = sumrate.sum_rate_lower(mp, d, starts=3)
-        dl = sumrate._delta_form_lower(mp, d, starts=3)
-        assert np.isclose(lo.value, dl, atol=1e-9)
+    @pytest.mark.parametrize("case", range(len(LOWER_CASES) + 1))
+    def test_not_above_the_search(self, case):
+        # the certified value never exceeds the multi-start search, whose
+        # local minima can only overstate the converse
+        mp, d = LOWER_CASES[case] if case < len(LOWER_CASES) else three_source()
+        lo = sumrate.sum_rate_lower(mp, d)
+        assert lo.value <= sum_rate_lower_search(mp, d, starts=2 if mp.l == 2 else 1) + 1e-12
+
+    def test_meets_the_search_at_tight_splits(self):
+        # on the first test_07 instances the search finds the converse
+        # optimum, and the certified value sits within 1e-9 below it
+        rng = np.random.default_rng(107)
+        for _ in range(10):
+            mp, d, _ = tight_split_pair(rng)
+            lo = sumrate.sum_rate_lower(mp, d)
+            ref = sum_rate_lower_search(mp, d, starts=2)
+            assert ref - 1e-9 <= lo.value <= ref + 1e-12
+
+    def test_certificate_recomputed_from_multipliers(self):
+        cases = [(mp, unit_rows(mp.l), np.asarray(d, dtype=float)) for mp, d in LOWER_CASES]
+        mp3, d3 = three_source()
+        cases.append((mp3, unit_rows(3), d3))
+        mp = correlated_pair(rho=0.5, t1=0.4, t2=0.4)
+        ge = np.diag([1.0, 1.6]) @ mp.gamma
+        cases += [(mp, (ge.T @ ge)[None], np.array([dd])) for dd in (0.2, 0.5, 1.0, 5.0)]
+        for mp, rows, rhs in cases:
+            sol = sumrate._converse(mp, rows, rhs)
+            assert np.isclose(dual_value(mp, rows, rhs, sol), sol.value, rtol=0.0, atol=1e-12)
+            # the objective at the end point: the certified gap
+            primal = sol.rates.sum() + 0.5 * (np.linalg.slogdet(mp.sigma_y + mp.offset)[1]
+                                              - np.linalg.slogdet(sol.sigma + mp.offset)[1])
+            assert -1e-12 <= primal - sol.value <= 1e-9
+            # the end point is strictly feasible: the floor clears every row
+            floor = np.linalg.inv(mt_posterior_precision(mp, sol.rates))
+            assert np.linalg.eigvalsh(sol.sigma - floor)[0] >= 0.0
+            assert np.all(np.einsum("jab,ab->j", rows, sol.sigma) < rhs)
+
+    def test_trace_program_below_the_old_search(self):
+        # correlated_pair(rho=0.5, t=0.4) with weights (1, 1.6): the
+        # multi-start trace search reported 2.708 / 1.810 / 1.143 at
+        # D = 0.2 / 0.5 / 1.0; the certified values are 2.6296 / 1.7178 /
+        # 1.0397, and the end rates reproduce them in the water-filled
+        # objective
+        mp = correlated_pair(rho=0.5, t1=0.4, t2=0.4)
+        ge = np.diag([1.0, 1.6]) @ mp.gamma
+        got = {}
+        for dd in (0.2, 0.5, 1.0):
+            sol = sumrate._converse(mp, (ge.T @ ge)[None], np.array([dd]))
+            assert abs(trace_converse_objective(mp, ge, dd, sol.rates) - sol.value) <= 1e-9
+            got[dd] = sol.value
+        assert got[0.5] < 1.81 - 0.05
+        assert np.allclose([got[0.2], got[0.5], got[1.0]], [2.629613, 1.717796, 1.039721], atol=1e-6)
+
+    def test_newton_steps_are_pinned(self):
+        # a work guard in counts, not seconds: Newton steps per solve
+        rng = np.random.default_rng(107)
+        mp, d, _ = tight_split_pair(rng)
+        steps = [sumrate._converse(mp, unit_rows(2), d).steps]
+        sy = np.array([[4.0, 1.0, 1.0], [1.0, 4.0, 1.0], [1.0, 1.0, 4.0]]) / 3.0
+        mp3 = MultiterminalProblem(sigma_y=sy, split_sigma_n=0.1 * np.ones(3), gamma=np.eye(3))
+        d_total = cyclic.distortion_at(cyclic.cyclic_instance(sy, epsilon=0.1), 0.4)
+        steps.append(sumrate._converse(mp3, unit_rows(3), np.full(3, d_total / 3.0)).steps)
+        mp = correlated_pair(rho=0.5, t1=0.4, t2=0.4)
+        ge = np.diag([1.0, 1.6]) @ mp.gamma
+        steps.append(sumrate._converse(mp, (ge.T @ ge)[None], np.array([0.5])).steps)
+        assert steps == CONVERSE_STEPS_PINNED
 
     def test_no_eigendecomposition(self, monkeypatch):
-        # the converse search runs on Cholesky kernels and the cached
-        # problem constants; a spectrum is never needed at two sources
+        # the converse runs on one barrier path: no spectrum through eig_sym,
+        # and one capped max-det, for the covariance at the end point
         mp = correlated_pair(rho=0.6, t1=0.35, t2=0.3)
-        eig_calls = []
+        eig_calls, public, core = [], [], []
         eig_sym = linalg.eig_sym
         monkeypatch.setattr(linalg, "eig_sym", lambda m: eig_calls.append(1) or eig_sym(m))
-        lo = sumrate.sum_rate_lower(mp, [0.5, 0.45], starts=2, seed=0)
+        wrapped = sumrate.max_det_capped
+        monkeypatch.setattr(sumrate, "max_det_capped", lambda *a, **k: public.append(1) or wrapped(*a, **k))
+        trusted = waterfill._max_det_capped
+        monkeypatch.setattr(waterfill, "_max_det_capped", lambda *a: core.append(1) or trusted(*a))
+        lo = sumrate.sum_rate_lower(mp, [0.5, 0.45])
         assert lo.value > 0.0
         assert eig_calls == []
+        assert len(public) == 1 and len(core) == 1
 
     def test_infeasible_caps(self):
         mp = correlated_pair()
         with pytest.raises(InfeasibleDistortion):
             sumrate.sum_rate_lower(mp, [0.4, -0.4])
+
+
+# Newton steps of the converse solves in test_newton_steps_are_pinned: the
+# first test_07 instance, the test_three_encoders instance and a trace row
+CONVERSE_STEPS_PINNED = [66, 81, 62]
 
 
 class TestSumRateBounds:
@@ -323,7 +443,7 @@ class TestBoundaryBatch:
         budget = 0.5 * math.log(2.0 / 0.5)
         rows = sumrate.boundary_batch(mp, budget, [[1.0], [1.5]], d_iters=36)
         assert np.isclose(rows[0].d_upper, 0.5, atol=1e-6)
-        assert np.isclose(rows[0].d_lower, 0.5, atol=1e-4)
+        assert np.isclose(rows[0].d_lower, 0.5, atol=1e-8)
         assert np.isclose(rows[1].d_upper, 1.5**2 * 0.5, atol=1e-6)
         assert rows[0].certified  # 0.5 <= zeta = 2.0 at L = 1
         assert not degenerate_row(rows[0])
@@ -352,29 +472,6 @@ class TestBoundaryBatch:
         hi = float(np.trace(np.diag([1.0, 1.6]) @ mp.sigma_y @ np.diag([1.0, 1.6])))
         assert 0.0 < row.d_lower <= row.d_upper + 1e-9 <= hi + 1e-6
         assert row.certified == (row.d_upper <= sumrate.zeta(mp.sigma_y))
-
-    def test_converse_fills_with_the_trusted_rule(self, monkeypatch):
-        # the converse trace program fills its floors with the trusted
-        # breakpoint rule, never the validating water_level, and each level
-        # has the bits water_level gives
-        public = waterfill.water_level
-        rule = sumrate._water_levels
-        public_calls, rows = [], []
-
-        def checked(floors, budget):
-            xi = rule(floors, budget)
-            for row, level in zip(floors, xi):
-                assert public(row, budget).xi == level
-            rows.append(len(floors))
-            return xi
-
-        monkeypatch.setattr(waterfill, "water_level",
-                            lambda *a: public_calls.append(1) or public(*a))
-        monkeypatch.setattr(sumrate, "_water_levels", checked)
-        mp = correlated_pair(rho=0.5, t1=0.4, t2=0.4)
-        value = sumrate._lower_at_trace(mp, np.diag([1.0, 1.6]), 1.5, 1, 0, 8.0)
-        assert 0.0 < value < math.inf
-        assert rows and not public_calls
 
     def test_validation(self):
         mp = correlated_pair()

@@ -160,6 +160,24 @@ class TestMaxDetCapped:
             assert_not_below_ascent(logdet(z), f, caps)
         assert not eig_calls
 
+    def test_trusted_core_validates_nothing(self, monkeypatch):
+        # one k=3 call of the trusted core makes no as_symmetric call, both
+        # when the stationarity shortcut returns and when it falls through
+        # to the Newton solver
+        calls = []
+        as_symmetric = linalg.as_symmetric
+        monkeypatch.setattr(linalg, "as_symmetric", lambda m: calls.append(1) or as_symmetric(m))
+        rng = np.random.default_rng(25)
+        f = 0.05 * random_floor(rng, 3)
+        g = 0.1 * random_floor(rng, 3)
+        stationary = np.diag(f) + np.diag(g) + 1.5
+        z = waterfill._max_det_capped(f, stationary, g, stationary - np.diag(f))
+        assert np.array_equal(z, np.diag(stationary + np.diag(g)) - g)
+        tight = np.diag(f) + np.array([1e-3, 0.5, 0.2])
+        z = waterfill._max_det_capped(f, tight, g, tight - np.diag(f))
+        assert not np.array_equal(z, np.diag(tight + np.diag(g)) - g)
+        assert calls == []
+
     def test_result_dominates_floor(self):
         rng = np.random.default_rng(24)
         for k in (2, 3, 4, 5, 6, 8):
