@@ -156,16 +156,42 @@ def _load_mt(args) -> MultiterminalProblem:
 # deterministic output
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+# values the C encoder writes as one token; np.float64 is a float subclass
+# and prints through float.__repr__, like the float it converts to
+_SCALARS = (str, int, float, type(None))
+
+
+def _json_text(x, pad: str = "") -> str:
+    """``json.dumps(x, indent=2)`` byte for byte, with numpy leaves written
+    as the Python values they convert to. Dict keys are strings.
+
+    The standard library drops to its pure-Python encoder whenever an
+    indent is set. Here the braces and indentation are laid out by hand,
+    and each container whose values are all scalars is one C-encoder call
+    whose item separator carries the newline and indentation.
+    """
     if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, np.generic):
-        return x.item()
-    return x
+        x = x.tolist()
+    elif isinstance(x, np.generic):
+        x = x.item()
+    if isinstance(x, dict):
+        vals, brackets = x.values(), "{}"
+    elif isinstance(x, (list, tuple)):
+        vals, brackets = x, "[]"
+    else:
+        return json.dumps(x)
+    if not vals:
+        return brackets
+    inner = pad + "  "
+    if all(isinstance(v, _SCALARS) for v in vals):
+        body = json.dumps(x, separators=(",\n" + inner, ": "))[1:-1]
+    elif brackets == "{}":
+        body = (",\n" + inner).join(
+            f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in x.items()
+        )
+    else:
+        body = (",\n" + inner).join(_json_text(v, inner) for v in vals)
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
 
 
 def _cell(v) -> str:
@@ -192,7 +218,7 @@ def _format_of(args, default: str, allowed=("json", "csv")) -> str:
 
 
 def _emit_json(args, payload, note: str | None = None) -> None:
-    _write_text(args.output, json.dumps(_jsonable(payload), indent=2) + "\n")
+    _write_text(args.output, _json_text(payload) + "\n")
     if args.output is not None:
         print(note or f"wrote {args.output}")
 
@@ -539,8 +565,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: argparse makes a fresh namespace on every parse,
+# so one parser serves any number of main calls
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return int(args.func(args) or 0)
     except _UsageError as exc:

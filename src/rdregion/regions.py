@@ -23,8 +23,9 @@ Subsets are bitmasks: bit ``l-1`` set means encoder ``l`` belongs to S.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,6 +79,14 @@ def subset_key(mask: int, l: int) -> str:
     return "0b" + format(mask, f"0{l}b")
 
 
+@functools.cache
+def _subset_keys(l: int) -> tuple[str, ...]:
+    # subset_key of every nonempty subset in ``subsets`` order, built once
+    # per l. Written out rather than calling the public functions, so the
+    # first call makes the same public calls as every later one
+    return tuple("0b" + format(m, f"0{l}b") for m in range(1, 1 << l))
+
+
 def parse_subset_key(key: str, l: int) -> int:
     try:
         mask = int(key, 2)
@@ -116,12 +125,20 @@ class RegionSpec:
     kind : str
         Which bound produced the floors (e.g. ``"inner"`` or ``"outer"``).
     bounds : dict
-        Map from subset bitmask to the floor value in nats.
+        Map from subset bitmask to the floor value in nats, one entry per
+        nonempty subset.
     """
 
     l: int
     kind: str
-    bounds: dict = field(default_factory=dict)
+    bounds: dict
+
+    def __post_init__(self):
+        if len(self.bounds) != (1 << self.l) - 1:
+            raise InvalidInput(
+                f"a region needs one floor per nonempty subset: {(1 << self.l) - 1} "
+                f"for l={self.l}, got {len(self.bounds)}"
+            )
 
     def floor(self, mask: int) -> float:
         if mask == 0:
@@ -137,11 +154,8 @@ class RegionSpec:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "l": self.l,
-            "kind": self.kind,
-            "bounds": {subset_key(m, self.l): self.bounds[m] for m in sorted(self.bounds)},
-        }
+        floors = map(self.bounds.__getitem__, subsets(self.l))
+        return {"l": self.l, "kind": self.kind, "bounds": dict(zip(_subset_keys(self.l), floors))}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegionSpec":
@@ -306,38 +320,55 @@ def mt_region_outer(mp: MultiterminalProblem, r, theta_tilde: float) -> RegionSp
     return _region(mp.l, "outer", _mt_outer_floors(mp, rates, _all_members(mp.l), theta_tilde))
 
 
+def _insert_zero_bit(x: np.ndarray, bit) -> np.ndarray:
+    # spread x around a new zero bit at position ``bit``: maps 0, 1, 2, ...
+    # to the ascending integers that lack that bit
+    return ((x >> bit) << (bit + 1)) | (x & ((1 << bit) - 1))
+
+
 def check_co_polymatroid(region: RegionSpec, tol: float = 1e-9) -> None:
     """Raise NotSupermodular unless the floors form a co-polymatroid.
 
     Checks nonnegativity, monotonicity under adding one encoder, and
-    supermodularity ``f(S+l+m) + f(S) >= f(S+l) + f(S+m)`` within tol.
+    supermodularity ``f(S+l+m) + f(S) >= f(S+l) + f(S+m)`` within tol. The
+    reported violation is the first in this order: negative floors in
+    ``bounds`` order, then by subset S ascending, by the first added
+    encoder ascending, with the monotonicity check before the pairs.
     """
-    f = region.floor
-    full = (1 << region.l) - 1
-    for mask, val in region.bounds.items():
-        if val < -tol:
-            raise NotSupermodular(f"floor of subset {mask:#b} is negative: {val}")
-    for mask in range(full + 1):
-        for i in range(region.l):
-            if mask >> i & 1:
-                continue
-            with_i = mask | (1 << i)
-            if f(with_i) < f(mask) - tol:
-                raise NotSupermodular(
-                    f"floor drops when adding encoder {i + 1} to {mask:#b}"
-                )
-            for j in range(i + 1, region.l):
-                if mask >> j & 1:
-                    continue
-                with_j = mask | (1 << j)
-                both = with_i | (1 << j)
-                lhs = f(both) + f(mask)
-                rhs = f(with_i) + f(with_j)
-                if lhs < rhs - tol:
-                    raise NotSupermodular(
-                        f"supermodularity fails at {mask:#b} with encoders "
-                        f"{i + 1},{j + 1}: {lhs} < {rhs}"
-                    )
+    l, bounds = region.l, region.bounds
+    vals = np.fromiter(bounds.values(), dtype=float, count=len(bounds))
+    neg = np.flatnonzero(vals < -tol)
+    if neg.size:
+        mask, val = list(bounds.items())[neg[0]]
+        raise NotSupermodular(f"floor of subset {mask:#b} is negative: {val}")
+    f = np.zeros(1 << l)
+    f[np.fromiter(bounds, dtype=np.int64, count=len(bounds))] = vals
+    # s1[e]: every S without encoder e, ascending; s2[p]: every S without
+    # either encoder of the pair (i[p], j[p]), ascending
+    e = np.arange(l)
+    s1 = _insert_zero_bit(np.arange((1 << l) >> 1), e[:, None])
+    i, j = np.triu_indices(l, 1)
+    s2 = _insert_zero_bit(_insert_zero_bit(np.arange((1 << l) >> 2), i[:, None]), j[:, None])
+    drop = f[s1 | 1 << e[:, None]] < f[s1] - tol
+    with_i, with_j = s2 | 1 << i[:, None], s2 | 1 << j[:, None]
+    fails = f[with_i | with_j] + f[s2] < f[with_i] + f[with_j] - tol
+    # rank each violation (S, a, b) as S*l*l + a*l + b, where a = b marks a
+    # drop from adding a and b > a a failing pair: the loop order of the checks
+    r1, c1 = np.nonzero(drop)
+    r2, c2 = np.nonzero(fails)
+    ranks = np.concatenate([(s1[r1, c1] * l + r1) * l + r1, (s2[r2, c2] * l + i[r2]) * l + j[r2]])
+    if not ranks.size:
+        return
+    mask, rest = divmod(int(ranks.min()), l * l)
+    a, b = divmod(rest, l)
+    if a == b:
+        raise NotSupermodular(f"floor drops when adding encoder {a + 1} to {mask:#b}")
+    fl = region.floor
+    lhs = fl(mask | 1 << a | 1 << b) + fl(mask)
+    rhs = fl(mask | 1 << a) + fl(mask | 1 << b)
+    raise NotSupermodular(
+        f"supermodularity fails at {mask:#b} with encoders {a + 1},{b + 1}: {lhs} < {rhs}"
+    )
 
 
 def min_weighted_sum(region: RegionSpec, weights, verify: bool = True, tol: float = 1e-9):

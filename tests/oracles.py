@@ -1,12 +1,13 @@
 """Independent brute-force references used to pin down library outputs."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 
 from rdregion import linalg
-from rdregion.errors import InfeasibleBudget, InfeasibleDistortion
+from rdregion.errors import InfeasibleBudget, InfeasibleDistortion, NotSupermodular
 from rdregion.problems import SumCrit, mt_posterior_precision
 from rdregion.sumrate import _descend, sum_rate_upper
 from rdregion.waterfill import _max_det_capped, waterfill_det
@@ -298,3 +299,56 @@ def trace_converse_objective(mp, gamma_eff, d, rates):
     xi = water_level_scan(floors, budget)
     log_w = float(np.log(np.maximum(floors, xi)).sum()) - 2.0 * np.linalg.slogdet(gamma_eff)[1]
     return float(rates.sum()) + 0.5 * (mp.logdet_sigma_y_offset - log_w)
+
+
+def _jsonable(x):
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return _jsonable(x.tolist())
+    if isinstance(x, np.generic):
+        return x.item()
+    return x
+
+
+def json_indent2(payload):
+    """A CLI JSON payload as the standard library's pure-Python encoder
+    writes it: numpy leaves converted to Python values, then
+    ``json.dumps(..., indent=2)``."""
+    return json.dumps(_jsonable(payload), indent=2)
+
+
+def check_co_polymatroid_loop(region, tol=1e-9):
+    """``rdregion.regions.check_co_polymatroid`` one subset and one encoder
+    pair at a time: negative floors in ``bounds`` order, then every subset
+    S ascending, every encoder i not in S ascending, the monotonicity check
+    for S+i, then supermodularity with every encoder j > i not in S. Raises
+    NotSupermodular at the first violation."""
+    f = region.floor
+    full = (1 << region.l) - 1
+    for mask, val in region.bounds.items():
+        if val < -tol:
+            raise NotSupermodular(f"floor of subset {mask:#b} is negative: {val}")
+    for mask in range(full + 1):
+        for i in range(region.l):
+            if mask >> i & 1:
+                continue
+            with_i = mask | (1 << i)
+            if f(with_i) < f(mask) - tol:
+                raise NotSupermodular(
+                    f"floor drops when adding encoder {i + 1} to {mask:#b}"
+                )
+            for j in range(i + 1, region.l):
+                if mask >> j & 1:
+                    continue
+                with_j = mask | (1 << j)
+                both = with_i | (1 << j)
+                lhs = f(both) + f(mask)
+                rhs = f(with_i) + f(with_j)
+                if lhs < rhs - tol:
+                    raise NotSupermodular(
+                        f"supermodularity fails at {mask:#b} with encoders "
+                        f"{i + 1},{j + 1}: {lhs} < {rhs}"
+                    )

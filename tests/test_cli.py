@@ -14,9 +14,9 @@ import warnings
 import numpy as np
 import pytest
 
-from rdregion import cyclic, duality, matching, regions, sumrate, waterfill
+from rdregion import cli, cyclic, duality, matching, regions, sumrate, waterfill
 from rdregion.cli import main
-from oracles import _limit_weighted
+from oracles import _limit_weighted, json_indent2
 from rdregion.problems import (
     MultiterminalProblem,
     RemoteProblem,
@@ -527,6 +527,170 @@ class TestTwoterm:
         rc = main(["twoterm", "--sigma1", "1", "--sigma2", "1", "--rho", "1.0",
                    "--d1", "0.4", "--d2", "0.4"])
         assert rc == 2
+
+
+def remote_l7_file(tmp_path):
+    rng = np.random.default_rng(17)
+    m = rng.normal(size=(3, 3))
+    return write_json(
+        tmp_path,
+        "remote7.json",
+        {
+            "k": 3,
+            "l": 7,
+            "sigma_x": (m @ m.T + 0.5 * np.eye(3)).tolist(),
+            "a": rng.normal(size=(7, 3)).tolist(),
+            "noise_vars": rng.uniform(0.3, 2.0, size=7).tolist(),
+            "gamma": np.eye(3).tolist(),
+        },
+    )
+
+
+class TestJsonLayout:
+    """Every JSON payload is the byte string ``json.dumps(..., indent=2)``
+    writes for it, as in the oracle."""
+
+    @pytest.mark.parametrize(
+        "make_input, argv",
+        [
+            (remote_l7_file, ["region", "--r", "0.2,0.4,0.6,0.8,1.0,1.2,1.4"]),
+            (remote_pair_file, ["region", "--r", "0.4,0.6", "--mode", "outer", "--d-sum", "1.5"]),
+            (mt_file, ["region", "--r", "0.5,0.8", "--mode", "outer", "--d", "0.5,0.6"]),
+            (mt_file, ["sumrate", "--d", "0.5", "--d", "0.4,0.7", "--starts", "1",
+                       "--format", "json"]),
+            (diag_file, ["sumrate", "--boundary", "--budget", "1.5", "--weights", "1,1.1",
+                         "--starts", "1", "--d-iters", "8", "--format", "json"]),
+            (remote_pair_file, ["match", "--d-sum", "1.5", "--points", "3"]),
+            (mt_file, ["match", "--d-sum", "0.5", "--points", "4"]),
+            (remote_pair_file, ["waterfill", "--r", "0.4,0.6", "--d-sum", "1.2"]),
+            (remote_pair_file, ["waterfill", "--r", "0.5", "--d", "0.6,0.9"]),
+            (mt_file, ["transform", "--d-sum", "0.5"]),
+            (mt_file, ["transform", "--d", "0.3,0.4"]),
+            (mt_file, ["cyclic", "--format", "json", "--samples", "4"]),
+            (None, ["twoterm", "--sigma1", "1", "--sigma2", "1", "--rho", "0.5",
+                    "--d1", "0.4", "--d2", "0.4"]),
+            (None, ["twoterm", "--sigma1", "1.2", "--sigma2", "0.9", "--rho", "0.4", "--curve",
+                    "--d-cap", "0.5", "--samples", "5", "--format", "json"]),
+        ],
+        ids=["region-inner-l7", "region-outer", "region-mt-outer", "sumrate", "boundary",
+             "match-remote", "match-mt", "waterfill-sum", "waterfill-vector",
+             "transform-sum", "transform-vector", "cyclic", "twoterm", "twoterm-curve"],
+    )
+    def test_payloads_match_indent2_dumps(self, tmp_path, monkeypatch, make_input, argv):
+        seen = []
+        emit = cli._emit_json
+
+        def recording(args, payload, note=None):
+            seen.append(payload)
+            emit(args, payload, note)
+
+        monkeypatch.setattr(cli, "_emit_json", recording)
+        out = tmp_path / "payload.json"
+        if make_input is not None:
+            argv = argv + ["--input", make_input(tmp_path)]
+        assert main(argv + ["--output", str(out)]) == 0
+        assert len(seen) == 1
+        assert out.read_bytes() == (json_indent2(seen[0]) + "\n").encode()
+
+    def test_seeded_nested_payloads(self):
+        rng = np.random.default_rng(2024)
+        floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1e16, 0.1,
+                  -2.5e-7, 1.7976931348623157e308]
+        strings = ["", "plain", "caf\u00e9 \u2211 \U0001d6c2", "two\nlines", 'quote " \\ tab\t',
+                   "\x00\x1f"]
+
+        def leaf():
+            pick = int(rng.integers(0, 12))
+            if pick == 0:
+                return floats[int(rng.integers(len(floats)))]
+            if pick == 1:
+                return float(rng.normal() * 10.0 ** rng.integers(-20, 20))
+            if pick == 2:
+                return strings[int(rng.integers(len(strings)))]
+            if pick == 3:
+                return [True, False, None][int(rng.integers(3))]
+            if pick == 4:
+                return int(rng.integers(-(10**6), 10**6)) * 10 ** int(rng.integers(0, 25))
+            if pick == 5:
+                return np.float64(floats[int(rng.integers(len(floats)))])
+            if pick == 6:
+                return np.int64(rng.integers(-(2**62), 2**62))
+            if pick == 7:
+                return np.bool_(rng.integers(2))
+            if pick == 8:
+                return np.float32(rng.normal())
+            if pick == 9:
+                shape = [(0,), (3,), (2, 2), (2, 0), (1, 2, 2)][int(rng.integers(5))]
+                return rng.normal(size=shape)
+            if pick == 10:
+                return rng.integers(-5, 5, size=int(rng.integers(0, 4)))
+            return [{}, [], ()][int(rng.integers(3))]
+
+        def tree(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return leaf()
+            n = int(rng.integers(0, 5))
+            kind = int(rng.integers(3))
+            if kind == 0:
+                return {
+                    strings[int(rng.integers(len(strings)))] + str(i): tree(depth - 1)
+                    for i in range(n)
+                }
+            items = [tree(depth - 1) for _ in range(n)]
+            return items if kind == 1 else tuple(items)
+
+        for _ in range(3000):
+            payload = tree(4)
+            assert cli._json_text(payload) == json_indent2(payload)
+
+    def test_all_scalar_containers(self):
+        for payload in ({"a": np.float64(0.1), "b": -0.0, "c": None, "d": True},
+                        [1e-300, math.nan, -math.inf, "\u00e9\n"], {"x": []}, [{}], {}, [], ()):
+            assert cli._json_text(payload) == json_indent2(payload)
+
+
+class TestParserReuse:
+    """One parser serves every in-process call like a fresh one would."""
+
+    def test_append_flags_do_not_pile_up(self, tmp_path):
+        src = diag_file(tmp_path)
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sumrate", "--input", src, "--d", "0.6", "--d", "0.8", "--starts", "1",
+                     "--output", str(first)]) == 0
+        argv = ["sumrate", "--input", src, "--d", "0.7", "--starts", "1", "--output", str(second)]
+        assert vars(cli._PARSER.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+        assert main(argv) == 0
+        assert len(read_csv(first)[1]) == 2
+        _, rows = read_csv(second)
+        assert len(rows) == 1 and float(rows[0][1]) == 0.7
+
+    def test_store_true_flag_resets(self, tmp_path):
+        src = mt_file(tmp_path)
+        out = tmp_path / "native.json"
+        assert main(["region", "--input", src, "--r", "0.5,0.8", "--transformed"]) == 0
+        assert main(["region", "--input", src, "--r", "0.5,0.8", "--output", str(out)]) == 0
+        expected = regions.mt_region_inner(mt_problem(), [0.5, 0.8]).to_dict()
+        assert out.read_bytes() == (json_indent2(expected) + "\n").encode()
+
+    def test_usage_errors_then_good_call(self, tmp_path, capsys):
+        src = remote_pair_file(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["region", "--input", src, "--mode", "sideways"])
+        assert exc.value.code == 2
+        assert main(["region", "--input", src, "--r", "0.1,0.2,0.3"]) == 2
+        out = tmp_path / "spec.json"
+        assert main(["region", "--input", src, "--r", "0.3,0.7", "--output", str(out)]) == 0
+        expected = regions.region_inner(remote_pair_problem(), [0.3, 0.7]).to_dict()
+        assert json.loads(out.read_text()) == expected
+
+    def test_main_never_builds_a_parser(self, tmp_path, monkeypatch):
+        # the parser is built when the module is imported, so main's call
+        # count is the same on every run, first or not
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert main(["region", "--input", remote_pair_file(tmp_path), "--r", "0.5"]) == 0
 
 
 class TestEntryPoints:

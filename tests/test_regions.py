@@ -15,7 +15,7 @@ from rdregion.errors import (
 from rdregion.problems import MultiterminalProblem, RemoteProblem
 from rdregion.regions import RegionSpec
 
-from oracles import min_weighted_sum_lp
+from oracles import check_co_polymatroid_loop, min_weighted_sum_lp
 
 HALF_LOG_2 = 0.5 * np.log(2.0)
 
@@ -183,6 +183,23 @@ class TestRegionSpec:
         back = RegionSpec.from_dict(json.loads(json.dumps(doc)))
         assert back == spec
 
+    def test_incomplete_region_rejected(self):
+        with pytest.raises(InvalidInput, match="one floor per nonempty subset"):
+            RegionSpec.from_dict({"l": 2, "kind": "inner", "bounds": {"0b01": 0.5, "0b11": 1.0}})
+        with pytest.raises(InvalidInput, match="one floor per nonempty subset"):
+            RegionSpec(l=3, kind="inner", bounds={1: 0.5, 2: 0.5, 3: 1.0})
+
+    @pytest.mark.parametrize("l", [1, 2, 5, 12])
+    def test_to_dict_keys_are_subset_keys(self, l):
+        spec = RegionSpec(l=l, kind="inner", bounds={m: float(m) for m in regions.subsets(l)})
+        doc = spec.to_dict()["bounds"]
+        assert list(doc) == [regions.subset_key(m, l) for m in regions.subsets(l)]
+        assert list(doc.values()) == [float(m) for m in regions.subsets(l)]
+
+    def test_to_dict_keys_follow_masks_not_insertion_order(self):
+        spec = RegionSpec(l=2, kind="outer", bounds={3: 1.0, 2: 0.25, 1: 0.5})
+        assert list(spec.to_dict()["bounds"].items()) == [("0b01", 0.5), ("0b10", 0.25), ("0b11", 1.0)]
+
     def test_enumeration_cap(self):
         rng = np.random.default_rng(1)
         p = RemoteProblem(
@@ -212,6 +229,79 @@ class TestCoPolymatroid:
         bad = RegionSpec(l=2, kind="inner", bounds={1: 1.0, 2: 0.5, 3: 0.8})
         with pytest.raises(NotSupermodular):
             regions.check_co_polymatroid(bad)
+
+
+def _verdict(check, spec):
+    try:
+        check(spec)
+    except NotSupermodular as exc:
+        return str(exc)
+    return None
+
+
+class TestCoPolymatroidMatchesLoop:
+    """The array check reports the same first violation, with the same
+    message, as the subset-by-subset loop of the oracle."""
+
+    @pytest.mark.parametrize("l", range(2, 11))
+    def test_valid_and_perturbed_regions(self, l):
+        rng = np.random.default_rng(90 + l)
+        seen = set()
+        for trial in range(6):
+            p = random_remote(rng, int(rng.integers(1, 4)), l)
+            spec = regions.region_inner(p, rng.uniform(0.0, 1.5, size=l))
+            assert _verdict(regions.check_co_polymatroid, spec) is None
+            assert _verdict(check_co_polymatroid_loop, spec) is None
+            for _ in range(4):
+                bounds = dict(spec.bounds)
+                for mask in rng.choice(np.arange(1, 1 << l), size=int(rng.integers(1, 4))):
+                    bounds[int(mask)] += float(rng.choice([-1.0, 1.0]) * rng.uniform(1e-9, 0.5))
+                if trial == 0:
+                    bounds[int(rng.integers(1, 1 << l))] = -1e-3
+                bad = RegionSpec(l=l, kind="inner", bounds=bounds)
+                want = _verdict(check_co_polymatroid_loop, bad)
+                assert _verdict(regions.check_co_polymatroid, bad) == want
+                seen.add(None if want is None else want.split(" ")[0])
+        assert {"floor", "supermodularity"} <= seen
+
+    @pytest.mark.parametrize("bounds", [{1: 0.3}, {1: -0.1}])
+    def test_single_encoder(self, bounds):
+        spec = RegionSpec(l=1, kind="inner", bounds=bounds)
+        assert _verdict(regions.check_co_polymatroid, spec) == _verdict(check_co_polymatroid_loop, spec)
+
+    def test_largest_enumerable_region(self):
+        rng = np.random.default_rng(112)
+        spec = regions.region_inner(random_remote(rng, 3, 12), rng.uniform(0.0, 1.5, size=12))
+        bounds = dict(spec.bounds)
+        bounds[0b101100111010] -= 0.05
+        bad = RegionSpec(l=12, kind="inner", bounds=bounds)
+        for region in (spec, bad):
+            want = _verdict(check_co_polymatroid_loop, region)
+            assert _verdict(regions.check_co_polymatroid, region) == want
+        assert want is not None
+
+    def test_first_negative_in_bounds_order(self):
+        bounds = {3: -0.5, 1: 0.2, 2: -0.1}
+        spec = RegionSpec(l=2, kind="inner", bounds=bounds)
+        msg = _verdict(regions.check_co_polymatroid, spec)
+        assert msg == _verdict(check_co_polymatroid_loop, spec)
+        assert msg == "floor of subset 0b11 is negative: -0.5"
+
+    def test_monotonicity_before_pairs_at_the_same_subset(self):
+        # with a wide tol, adding encoder 2 to {1} drops the floor and the
+        # pair 2,3 breaks supermodularity at {1}: the drop comes first
+        spec = RegionSpec(l=3, kind="inner", bounds={
+            1: 1.0, 2: -0.05, 3: 0.88, 4: 0.0, 5: 1.0, 6: 0.0, 7: 0.5,
+        })
+        msg = _verdict(lambda s: regions.check_co_polymatroid(s, tol=0.1), spec)
+        assert msg == _verdict(lambda s: check_co_polymatroid_loop(s, tol=0.1), spec)
+        assert msg == "floor drops when adding encoder 2 to 0b1"
+
+    def test_pair_message_carries_both_sides(self):
+        spec = RegionSpec(l=3, kind="inner", bounds={1: 1.0, 2: 1.0, 3: 1.5, 4: 1.0, 5: 2.5, 6: 2.5, 7: 4.0})
+        msg = _verdict(regions.check_co_polymatroid, spec)
+        assert msg == _verdict(check_co_polymatroid_loop, spec)
+        assert msg == "supermodularity fails at 0b0 with encoders 1,2: 1.5 < 2.0"
 
 
 class TestGreedy:
